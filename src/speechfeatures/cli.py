@@ -17,8 +17,9 @@ import numpy as np
 from .audio import parse_utterances
 from .evaluate import PitchEval, abx_score, ger, load_triplets, mae
 from .features import load_collection
-from .pipeline import (ExtractionError, config_to_text, default_config,
-                       extract_features, read_config, write_config)
+from .pipeline import (FEATURE_OPTIONS, ExtractionError, config_to_text,
+                       default_config, extract_features, read_config,
+                       write_config)
 
 
 def _build_parser():
@@ -28,8 +29,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     conf = sub.add_parser("config", help="generate a pipeline configuration")
-    conf.add_argument("features",
-                      choices=["spectrogram", "filterbank", "mfcc", "plp"])
+    conf.add_argument("features", choices=list(FEATURE_OPTIONS))
     conf.add_argument("--pitch", choices=["kaldi"], default=None,
                       help="add pitch estimation to the pipeline")
     conf.add_argument("--delta", action="store_true",

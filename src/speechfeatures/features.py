@@ -263,7 +263,11 @@ def _load_binary(path):
         raw, pos = take(pos, 4)
         name_len, = struct.unpack("<I", raw)
         raw, pos = take(pos, name_len)
-        name = raw.decode("utf-8")
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise FeaturesFormatError(
+                f"{path}: item name is not valid UTF-8: {err}") from err
         raw, pos = take(pos, 13)
         m, n, t = struct.unpack("<QIB", raw)
         if t not in (1, 2):
@@ -275,7 +279,11 @@ def _load_binary(path):
         raw, pos = take(pos, 8)
         blob_len, = struct.unpack("<Q", raw)
         raw, pos = take(pos, blob_len)
-        properties = json.loads(raw.decode("utf-8"))
+        try:
+            properties = json.loads(raw.decode("utf-8"))
+        except ValueError as err:  # bad UTF-8 or bad JSON
+            raise FeaturesFormatError(
+                f"{path}: item {name!r}: bad properties: {err}") from err
         if name in coll:
             raise FeaturesFormatError(f"{path}: duplicate item name {name!r}")
         try:

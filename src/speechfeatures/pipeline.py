@@ -21,7 +21,8 @@ from .pitch import PitchOptions, PostPitchOptions, estimate_pitch, postprocess_p
 from .postproc import CmvnOptions, DeltaOptions, cmvn_apply, delta
 from .speaker import UbmOptions, VtlnOptions, estimate_warps
 from .spectral import (FilterbankOptions, MfccOptions, PlpOptions,
-                       SpectrogramOptions, filterbank, mfcc, plp, spectrogram)
+                       SpectrogramOptions, _frame_spectra, _mfcc_from_spectra,
+                       filterbank, mfcc, plp, spectrogram)
 
 __all__ = ["PipelineConfig", "ExtractionError", "default_config",
            "extract_features", "config_to_dict", "config_from_dict",
@@ -234,18 +235,22 @@ def _load_utterance_audio(utt, sample_rate):
 
 
 class _WarpedMfcc:
-    """(utterance, warp) -> Features extractor backing warp estimation."""
+    """(utterance, warp) -> Features extractor backing warp estimation.
+
+    Dither is seeded per utterance, so every warp reuses one power spectrum.
+    """
 
     def __init__(self, sample_rate, seed):
         self.opts = MfccOptions(sample_rate=sample_rate)
         self.seed = seed
-        self._audio = {}
+        self._spectra = {}
 
     def __call__(self, utt, warp):
-        if utt.name not in self._audio:
-            self._audio[utt.name] = _load_utterance_audio(utt, self.opts.sample_rate)
-        return mfcc(self._audio[utt.name], self.opts, vtln_warp=warp,
-                    seed=derive_seed(self.seed, utt.name))
+        if utt.name not in self._spectra:
+            audio = _load_utterance_audio(utt, self.opts.sample_rate)
+            self._spectra[utt.name] = _frame_spectra(
+                audio, self.opts, derive_seed(self.seed, utt.name))
+        return _mfcc_from_spectra(self._spectra[utt.name], self.opts, warp)
 
 
 def _extract_one(config, utt, warp):

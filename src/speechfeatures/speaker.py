@@ -283,11 +283,12 @@ def estimate_warps(utterances, extractor, opts=None, seed=0):
     """Estimate one frequency warp factor per speaker, unsupervised.
 
     `extractor` is a callable (utterance, warp) -> Features producing the
-    features used for model training and scoring; it is invoked once per
-    (utterance, warp) pair and cached. Each round scores every speaker's
-    frames at every warp of the grid against a UBM trained on the currently
-    selected warps (starting from 1.0 for everyone) and keeps the most
-    likely warp; rounds stop early once the warp assignment is stable.
+    features used for model training and scoring; it may be called more
+    than once per (utterance, warp) pair and must be deterministic. Each
+    round scores every speaker's frames at every warp of the grid against a
+    UBM trained on the currently selected warps (starting from 1.0 for
+    everyone) and keeps the most likely warp; rounds stop early once the
+    warp assignment is stable.
     Ties prefer the warp closest to 1.0, then the smaller warp.
 
     With norm_type "offset" the speaker's feature mean is replaced by the
@@ -305,16 +306,9 @@ def estimate_warps(utterances, extractor, opts=None, seed=0):
         speaker: sorted(utts, key=lambda u: u.name)
         for speaker, utts in sorted(utterances.by_speaker().items())}
 
-    cache = {}
-
-    def features(utt, warp):
-        key = (utt.name, float(warp))
-        if key not in cache:
-            cache[key] = extractor(utt, float(warp))
-        return cache[key]
-
     def speaker_frames(speaker, warp):
-        return np.vstack([features(u, warp).data for u in by_speaker[speaker]])
+        return np.vstack([extractor(u, float(warp)).data
+                          for u in by_speaker[speaker]])
 
     warps = {speaker: 1.0 for speaker in by_speaker}
     for _ in range(opts.num_iters):

@@ -171,12 +171,11 @@ def vtln_warp_freq(freq, warp, low_freq, high_freq, vtln_low, vtln_high):
 class MelBanks:
     """Triangular mel filters over FFT bins.
 
-    Each filter is stored as (first_fft_bin_index, weights); center_freqs
-    holds the (possibly warped) triangle centers in Hz.
+    Row b of matrix holds the weights of filter b on every FFT bin;
+    center_freqs holds the (possibly warped) triangle centers in Hz.
     """
-    bins: tuple
     center_freqs: np.ndarray
-    matrix: np.ndarray  # dense [num_bins, nfft//2 + 1] view of the triangles
+    matrix: np.ndarray  # [num_bins, nfft//2 + 1]
 
     def apply(self, spectrum):
         """Weighted sums of a [m, nfft//2+1] spectrum, one column per bin."""
@@ -184,55 +183,41 @@ class MelBanks:
 
 
 @functools.lru_cache(maxsize=None)
-def _mel_banks_cached(sample_rate, num_bins, low_freq, high_freq,
-                      vtln_low, vtln_high, nfft, vtln_warp):
-    nyquist = 0.5 * sample_rate
-    high_freq = high_freq if high_freq > 0 else nyquist + high_freq
-    vtln_low = vtln_low if vtln_low > 0 else nyquist + vtln_low
-    vtln_high = vtln_high if vtln_high > 0 else nyquist + vtln_high
+def compute_mel_banks(opts, nfft, vtln_warp=1.0):
+    """Mel filterbank for the given options, FFT size and frequency warp.
 
-    mel_low = mel(low_freq)
-    mel_high = mel(high_freq)
-    mel_delta = (mel_high - mel_low) / (num_bins + 1)
+    Banks are cached per (opts, nfft, vtln_warp); callers must not mutate
+    the result.
+    """
+    mel_low = mel(opts.low_freq)
+    mel_high = mel(opts.effective_high_freq)
+    mel_delta = (mel_high - mel_low) / (opts.num_bins + 1)
 
-    fft_freqs = np.arange(nfft // 2 + 1) * (sample_rate / nfft)
+    fft_freqs = np.arange(nfft // 2 + 1) * (opts.sample_rate / nfft)
     fft_mels = mel(fft_freqs)
 
     def warp_mel(m):
         if vtln_warp == 1.0:
             return m
-        return mel(vtln_warp_freq(inverse_mel(m), vtln_warp,
-                                  low_freq, high_freq, vtln_low, vtln_high))
+        return mel(vtln_warp_freq(
+            inverse_mel(m), vtln_warp, opts.low_freq, opts.effective_high_freq,
+            opts.effective_vtln_low, opts.effective_vtln_high))
 
-    bins = []
-    centers = np.empty(num_bins)
-    matrix = np.zeros((num_bins, nfft // 2 + 1))
-    for b in range(num_bins):
+    centers = np.empty(opts.num_bins)
+    matrix = np.zeros((opts.num_bins, nfft // 2 + 1))
+    for b in range(opts.num_bins):
         left = warp_mel(mel_low + b * mel_delta)
         center = warp_mel(mel_low + (b + 1) * mel_delta)
         right = warp_mel(mel_low + (b + 2) * mel_delta)
         up = (fft_mels - left) / (center - left)
         down = (right - fft_mels) / (right - center)
         weights = np.clip(np.minimum(up, down), 0.0, None)
-        nonzero = np.nonzero(weights)[0]
-        if nonzero.size == 0:
+        if not weights.any():
             raise ValueError(
                 f"mel bin {b} has no FFT bin support (nfft {nfft} too small)")
-        first, last = nonzero[0], nonzero[-1]
-        bins.append((int(first), weights[first:last + 1].copy()))
         centers[b] = inverse_mel(center)
         matrix[b] = weights
-    return MelBanks(tuple(bins), centers, matrix)
-
-
-def compute_mel_banks(opts, nfft, vtln_warp=1.0):
-    """Mel filterbank for the given options, FFT size and frequency warp.
-
-    Banks are cached per parameter set; callers must not mutate the result.
-    """
-    return _mel_banks_cached(
-        opts.sample_rate, opts.num_bins, opts.low_freq, opts.high_freq,
-        opts.vtln_low, opts.vtln_high, nfft, vtln_warp)
+    return MelBanks(centers, matrix)
 
 
 def next_power_of_two(n):
@@ -317,7 +302,12 @@ def mfcc(audio, opts=None, vtln_warp=1.0, seed=0):
     replaced by the log frame energy.
     """
     opts = opts or MfccOptions()
-    power, energy, times = _frame_spectra(audio, opts, seed)
+    return _mfcc_from_spectra(_frame_spectra(audio, opts, seed), opts, vtln_warp)
+
+
+def _mfcc_from_spectra(spectra, opts, vtln_warp):
+    """The MFCC stage of mfcc() over a _frame_spectra result (not modified)."""
+    power, energy, times = spectra
     banks = compute_mel_banks(opts, next_power_of_two(opts.window_size), vtln_warp)
     log_mel = np.log(np.maximum(banks.apply(power), TINY))
     ceps = log_mel @ dct_matrix(opts.num_ceps, opts.num_bins).T

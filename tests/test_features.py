@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,28 @@ class TestBinaryFormat:
         sample_collection().save(path, format="binary")
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(FeaturesFormatError, match="truncated"):
+            load_collection(path, format="binary")
+
+    def test_bad_utf8_item_name_names_file(self, tmp_path):
+        path = tmp_path / "feats.bin"
+        sample_collection().save(path, format="binary")
+        raw = bytearray(path.read_bytes())
+        raw[8] = 0xff  # first byte of the first item name
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FeaturesFormatError,
+                           match=re.escape(f"{path}: item name")):
+            load_collection(path, format="binary")
+
+    def test_bad_properties_json_names_file_and_item(self, tmp_path):
+        path = tmp_path / "feats.bin"
+        coll = sample_collection()
+        coll.save(path, format="binary")
+        raw = path.read_bytes()
+        blob = raw.index(b'{"processor"')  # first item's properties
+        path.write_bytes(raw[:blob] + b"x" + raw[blob + 1:])
+        first = next(iter(coll))
+        with pytest.raises(FeaturesFormatError,
+                           match=re.escape(f"{path}: item {first!r}: bad properties")):
             load_collection(path, format="binary")
 
     def test_magic_is_shn1(self, tmp_path):

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from speechfeatures import (ExtractionError, PipelineConfig, Utterance,
-                            Utterances, default_config, extract_features,
-                            read_config, write_config, write_wav)
-from speechfeatures.pipeline import config_from_dict, config_to_dict
+                            Utterances, VtlnOptions, default_config,
+                            extract_features, load_wav, mfcc, read_config,
+                            write_config, write_wav)
+from speechfeatures.pipeline import (_WarpedMfcc, config_from_dict,
+                                     config_to_dict, derive_seed)
+from speechfeatures.speaker import warp_grid
 from speechfeatures.spectral import MfccOptions, SpectrogramOptions
 
 from conftest import make_voweled
@@ -23,6 +26,15 @@ def corpus(tmp_path):
                                      duration=0.4, seed=i))
         items.append(Utterance(name, str(path), speaker=speaker))
     return Utterances(items)
+
+
+def small_vtln_config(seed=0):
+    """mfcc + vtln with a UBM and search small enough for a 3-item corpus."""
+    config = default_config("mfcc", with_vtln=True, seed=seed)
+    ubm = dataclasses.replace(config.vtln.ubm, num_gauss=4, num_iters=1,
+                              num_iters_init=3)
+    return dataclasses.replace(
+        config, vtln=dataclasses.replace(config.vtln, num_iters=2, ubm=ubm))
 
 
 class TestDefaultConfig:
@@ -126,13 +138,16 @@ class TestExtractFeatures:
             assert feats.nchannels == 13 * 3 + 3
 
     def test_njobs_determinism(self, corpus):
-        config = default_config("mfcc", with_pitch=True, seed=5)
-        serial = extract_features(config, corpus, njobs=1)
-        parallel = extract_features(config, corpus, njobs=2)
-        assert list(serial) == list(parallel)
-        for name in serial:
-            assert np.array_equal(serial[name].data, parallel[name].data)
-            assert np.array_equal(serial[name].times, parallel[name].times)
+        for config in (default_config("mfcc", with_pitch=True, seed=5),
+                       small_vtln_config(seed=5)):
+            serial = extract_features(config, corpus, njobs=1)
+            parallel = extract_features(config, corpus, njobs=2)
+            assert list(serial) == list(parallel)
+            for name in serial:
+                assert np.array_equal(serial[name].data, parallel[name].data)
+                assert np.array_equal(serial[name].times, parallel[name].times)
+                assert (serial[name].properties.get("vtln_warp")
+                        == parallel[name].properties.get("vtln_warp"))
 
     def test_properties_record_pipeline(self, corpus):
         config = default_config("mfcc", seed=9)
@@ -174,26 +189,32 @@ class TestExtractFeatures:
         assert list(coll) == [u.name for u in corpus]
 
     def test_vtln_pipeline_runs_and_warps_on_grid(self, corpus):
-        small_vtln = dataclasses.replace(
-            default_config("mfcc", with_vtln=True).vtln,
-            num_iters=2,
-            ubm=dataclasses.replace(default_config("mfcc", with_vtln=True).vtln.ubm,
-                                    num_gauss=4, num_iters=1, num_iters_init=3))
-        config = dataclasses.replace(default_config("mfcc", with_vtln=True),
-                                     vtln=small_vtln)
-        coll = extract_features(config, corpus)
+        coll = extract_features(small_vtln_config(), corpus)
         for feats in coll.values():
             assert feats.nchannels == 13
+
+    def test_warp_search_features_equal_mfcc_at_every_warp(self, corpus):
+        extractor = _WarpedMfcc(16000, seed=7)
+        for utt in corpus:
+            audio = load_wav(utt.audio_path)
+            for warp in warp_grid(VtlnOptions()):
+                expected = mfcc(audio, MfccOptions(sample_rate=16000),
+                                vtln_warp=warp, seed=derive_seed(7, utt.name))
+                assert np.array_equal(extractor(utt, warp).data, expected.data)
 
     def test_bad_njobs(self, corpus):
         with pytest.raises(ValueError):
             extract_features(default_config("mfcc"), corpus, njobs=0)
 
     def test_manifest_order_does_not_change_results(self, corpus):
-        config = default_config("mfcc", with_pitch=True, with_cmvn=True, seed=3)
-        forward = extract_features(config, corpus)
         reversed_corpus = Utterances(list(corpus)[::-1])
-        backward = extract_features(config, reversed_corpus)
-        assert set(forward) == set(backward)
-        for name in forward:
-            assert np.array_equal(forward[name].data, backward[name].data)
+        for config in (default_config("mfcc", with_pitch=True, with_cmvn=True,
+                                      seed=3),
+                       small_vtln_config(seed=3)):
+            forward = extract_features(config, corpus)
+            backward = extract_features(config, reversed_corpus)
+            assert set(forward) == set(backward)
+            for name in forward:
+                assert np.array_equal(forward[name].data, backward[name].data)
+                assert (forward[name].properties.get("vtln_warp")
+                        == backward[name].properties.get("vtln_warp"))

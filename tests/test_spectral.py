@@ -101,14 +101,14 @@ class TestMelBanks:
 
     def test_weights_bounded_and_positive_sum(self):
         banks = compute_mel_banks(MelOptions(), 512)
-        for first, weights in banks.bins:
-            assert first >= 0
+        assert banks.matrix.shape == (23, 257)
+        for weights in banks.matrix:
             assert np.all(weights >= 0) and np.all(weights <= 1)
             assert weights.sum() > 0
 
     def test_weights_unimodal(self):
         banks = compute_mel_banks(MelOptions(), 512)
-        for _, weights in banks.bins:
+        for weights in banks.matrix:
             peak = int(np.argmax(weights))
             assert np.all(np.diff(weights[:peak + 1]) >= 0)
             assert np.all(np.diff(weights[peak:]) <= 0)
