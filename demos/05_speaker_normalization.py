@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from speechfeatures import (Audio, UbmOptions, Utterance, Utterances,
-                            VtlnOptions, estimate_warps, gmm_loglike,
-                            save_warps, train_ubm, write_wav)
+                            VtlnOptions, estimate_warps, save_warps, train_ubm,
+                            write_wav)
 from speechfeatures.pipeline import _WarpedMfcc
 
 rng = np.random.default_rng(0)
@@ -28,7 +28,7 @@ for g in order:
     print(f"  weight {ubm.weights[g]:.3f}  mean {ubm.means[g, 0]:+.3f}  "
           f"std {np.sqrt(ubm.variances[g, 0]):.3f}")
 print(f"log-likelihood of a point at the heavy mode: "
-      f"{gmm_loglike(ubm, np.array([3.0])):.3f}")
+      f"{ubm.loglikes(np.array([3.0]))[0]:.3f}")
 print(f"EM improved over {sum(len(s) - 1 for s in ubm.history)} iterations, "
       f"monotonically per segment")
 

@@ -24,8 +24,8 @@ from .pitch import (PitchOptions, PostPitchOptions, estimate_pitch,
 from .postproc import (CmvnOptions, DeltaOptions, VadOptions, cmvn_apply,
                        delta, vad)
 from .speaker import (DiagGmm, UbmOptions, VtlnOptions, estimate_warps,
-                      gmm_loglike, load_gmm, load_warps, save_gmm,
-                      save_warps, select_warp, train_ubm)
+                      load_gmm, load_warps, save_gmm, save_warps, select_warp,
+                      train_ubm)
 from .pipeline import (ExtractionError, PipelineConfig, default_config,
                        extract_features, read_config, write_config)
 from .evaluate import (AbxTriplet, PitchEval, abx_score, dtw_cosine, ger,

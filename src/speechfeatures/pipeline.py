@@ -28,12 +28,30 @@ __all__ = ["PipelineConfig", "ExtractionError", "default_config",
            "extract_features", "config_to_dict", "config_from_dict",
            "config_to_text", "write_config", "read_config"]
 
+# feature type -> options class; the processor is the global of that name
 FEATURE_OPTIONS = {
     "spectrogram": SpectrogramOptions,
     "filterbank": FilterbankOptions,
     "mfcc": MfccOptions,
     "plp": PlpOptions,
 }
+
+# config block -> (PipelineConfig field, options class), in config text order
+_STAGES = {
+    "pitch": ("pitch", PitchOptions),
+    "pitch_postprocessing": ("pitch_post", PostPitchOptions),
+    "delta": ("delta", DeltaOptions),
+    "cmvn": ("cmvn", CmvnOptions),
+    "vtln": ("vtln", VtlnOptions),
+}
+
+
+def _options_class(features):
+    """The options class of a feature type, or ValueError if it is unknown."""
+    if not isinstance(features, str) or features not in FEATURE_OPTIONS:
+        raise ValueError(f"unknown features {features!r}, expected one of "
+                         f"{', '.join(FEATURE_OPTIONS)}")
+    return FEATURE_OPTIONS[features]
 
 
 class ExtractionError(RuntimeError):
@@ -59,11 +77,7 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.features not in FEATURE_OPTIONS:
-            raise ValueError(
-                f"unknown features {self.features!r}, expected one of "
-                f"{', '.join(FEATURE_OPTIONS)}")
-        expected = FEATURE_OPTIONS[self.features]
+        expected = _options_class(self.features)
         if type(self.options) is not expected:
             raise ValueError(
                 f"{self.features} features need {expected.__name__} options")
@@ -71,20 +85,27 @@ class PipelineConfig:
             raise ValueError("pitch and pitch post-processing go together")
         if self.vtln is not None and self.features == "spectrogram":
             raise ValueError("warp normalization is not available for spectrogram")
+        if self.pitch is not None:
+            framing = self.pitch.frame_options()
+            for key in ("sample_rate", "frame_shift", "frame_length", "snip_edges"):
+                ours, theirs = getattr(self.options, key), getattr(framing, key)
+                if ours != theirs:
+                    raise ValueError(
+                        f"pitch needs the {self.features} framing: {key} is "
+                        f"{ours!r} in {self.features}, {theirs!r} in pitch")
 
 
 def default_config(features, with_pitch=False, with_delta=False,
                    with_cmvn=False, with_vtln=False, seed=0):
     """A PipelineConfig with default parameters for the requested stages."""
-    if features not in FEATURE_OPTIONS:
-        raise ValueError(
-            f"unknown features {features!r}, expected one of "
-            f"{', '.join(FEATURE_OPTIONS)}")
-    options = FEATURE_OPTIONS[features]()
+    options = _options_class(features)()
     return PipelineConfig(
         features=features,
         options=options,
-        pitch=PitchOptions(sample_rate=options.sample_rate) if with_pitch else None,
+        pitch=PitchOptions(sample_rate=options.sample_rate,
+                           frame_shift=options.frame_shift,
+                           frame_length=options.frame_length)
+        if with_pitch else None,
         pitch_post=PostPitchOptions() if with_pitch else None,
         delta=DeltaOptions() if with_delta else None,
         cmvn=CmvnOptions(by="speaker") if with_cmvn else None,
@@ -96,18 +117,9 @@ def config_to_dict(config):
     """The configuration as a plain nested dict (JSON-compatible)."""
     out = {"features": config.features, "seed": config.seed,
            config.features: asdict(config.options)}
-    if config.pitch is not None:
-        out["pitch"] = asdict(config.pitch)
-        out["pitch_postprocessing"] = asdict(config.pitch_post)
-    if config.delta is not None:
-        out["delta"] = asdict(config.delta)
-    if config.cmvn is not None:
-        out["cmvn"] = asdict(config.cmvn)
-    if config.vtln is not None:
-        vtln = asdict(config.vtln)
-        ubm = vtln.pop("ubm")
-        vtln["ubm"] = ubm
-        out["vtln"] = vtln
+    for block, (name, _) in _STAGES.items():
+        if (stage := getattr(config, name)) is not None:
+            out[block] = asdict(stage)
     return out
 
 
@@ -115,28 +127,23 @@ def config_from_dict(tree):
     """Inverse of config_to_dict."""
     tree = dict(tree)
     features = tree.get("features")
-    if features not in FEATURE_OPTIONS:
-        raise ValueError(f"config has no valid features entry: {features!r}")
+    blocks = {features: ("options", _options_class(features)), **_STAGES}
     if features not in tree:
         raise ValueError(f"config is missing the {features!r} parameter block")
-    kwargs = {
-        "features": features,
-        "options": FEATURE_OPTIONS[features](**tree[features]),
-        "seed": int(tree.get("seed", 0)),
-    }
     if "pitch" in tree:
-        kwargs["pitch"] = PitchOptions(**tree["pitch"])
-        kwargs["pitch_post"] = PostPitchOptions(
-            **tree.get("pitch_postprocessing", {}))
-    if "delta" in tree:
-        kwargs["delta"] = DeltaOptions(**tree["delta"])
-    if "cmvn" in tree:
-        kwargs["cmvn"] = CmvnOptions(**tree["cmvn"])
-    if "vtln" in tree:
-        vtln = dict(tree["vtln"])
-        ubm = UbmOptions(**vtln.pop("ubm", {}))
-        kwargs["vtln"] = VtlnOptions(ubm=ubm, **vtln)
-    return PipelineConfig(**kwargs)
+        tree.setdefault("pitch_postprocessing", {})
+    kwargs = {}
+    for block, (name, cls) in blocks.items():
+        if block in tree:
+            try:
+                values = tree[block]
+                if cls is VtlnOptions and "ubm" in values:
+                    values = dict(values, ubm=UbmOptions(**values["ubm"]))
+                kwargs[name] = cls(**values)
+            except (TypeError, ValueError) as err:
+                raise ValueError(f"{block}: {err}") from err
+    return PipelineConfig(features=features, seed=int(tree.get("seed", 0)),
+                          **kwargs)
 
 
 def _format_scalar(value):
@@ -215,8 +222,11 @@ def write_config(config, path):
 
 def read_config(path):
     """Parse a configuration written by write_config (or hand-edited)."""
-    with open(path, "r", encoding="utf-8") as fp:
-        return config_from_dict(_parse_tree(fp.read()))
+    try:
+        with open(path, "r", encoding="utf-8") as fp:
+            return config_from_dict(_parse_tree(fp.read()))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
 
 
 def derive_seed(seed, label):
@@ -258,11 +268,10 @@ def _extract_one(config, utt, warp):
     audio = _load_utterance_audio(utt, config.options.sample_rate)
     seed = derive_seed(config.seed, utt.name)
 
-    if config.features == "spectrogram":
-        feats = spectrogram(audio, config.options, seed=seed)
-    else:
-        func = {"filterbank": filterbank, "mfcc": mfcc, "plp": plp}[config.features]
-        feats = func(audio, config.options, vtln_warp=warp, seed=seed)
+    # looked up at call time: bench/tracer.py wraps the processors by name
+    processor = globals()[config.features]
+    warp_kwargs = {} if warp == 1.0 else {"vtln_warp": warp}
+    feats = processor(audio, config.options, seed=seed, **warp_kwargs)
 
     if config.delta is not None:
         feats = delta(feats, config.delta)

@@ -53,6 +53,7 @@ class PitchOptions:
     nccf_ballast: float = 7000.0
 
     def __post_init__(self):
+        self.frame_options()
         if not 0 < self.min_f0 < self.max_f0:
             raise ValueError(
                 f"need 0 < min_f0 < max_f0, got {self.min_f0} and {self.max_f0}")
@@ -66,8 +67,6 @@ class PitchOptions:
                 f"{self.frame_length} s frame length")
         if self.delta_pitch <= 0:
             raise ValueError(f"delta_pitch must be > 0, got {self.delta_pitch}")
-        if self.frame_shift <= 0 or self.frame_length <= 0:
-            raise ValueError("frame_shift and frame_length must be positive")
 
     def frame_options(self):
         """Framing options giving the frame count and times of the output."""

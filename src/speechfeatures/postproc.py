@@ -103,40 +103,31 @@ def cmvn_apply(coll, speakers=None, opts=None):
     """
     if opts is None:
         raise ValueError("cmvn requires options with a scope")
-    out = FeaturesCollection()
-    if opts.by == "frame":
-        for name, feats in coll.items():
-            mean = feats.data.mean(axis=1, keepdims=True)
-            sigma = feats.data.std(axis=1, keepdims=True)
-            out[name] = _with_cmvn(feats, _normalize(feats.data, mean, sigma,
-                                                     opts.norm_vars), opts)
-    elif opts.by == "utterance":
-        for name, feats in coll.items():
-            mean = feats.data.mean(axis=0, keepdims=True)
-            sigma = feats.data.std(axis=0, keepdims=True)
-            out[name] = _with_cmvn(feats, _normalize(feats.data, mean, sigma,
-                                                     opts.norm_vars), opts)
-    else:
+    if opts.by == "speaker":
         speakers = speakers or {}
         missing = [name for name in coll if name not in speakers]
         if missing:
             raise ValueError(
                 f"cmvn by speaker: no speaker for {', '.join(sorted(missing))}")
-        groups = {}
-        for name in coll:
-            groups.setdefault(speakers[name], []).append(name)
-        for names in groups.values():
-            # name-sorted stacking keeps the statistics bit-identical no
-            # matter how the collection is ordered
-            pooled = np.vstack([coll[name].data for name in sorted(names)])
-            mean = pooled.mean(axis=0, keepdims=True)
-            sigma = pooled.std(axis=0, keepdims=True)
-            for name in names:
-                feats = coll[name]
-                out[name] = _with_cmvn(feats, _normalize(feats.data, mean, sigma,
-                                                         opts.norm_vars), opts)
-        out = FeaturesCollection({name: out[name] for name in coll})
-    return out
+    else:
+        # frame and utterance scopes group each utterance on its own
+        speakers = {name: name for name in coll}
+    axis = 1 if opts.by == "frame" else 0
+    groups = {}
+    for name in coll:
+        groups.setdefault(speakers[name], []).append(name)
+    out = {}
+    for names in groups.values():
+        # name-sorted stacking keeps the statistics bit-identical no
+        # matter how the collection is ordered
+        pooled = np.vstack([coll[name].data for name in sorted(names)])
+        mean = pooled.mean(axis=axis, keepdims=True)
+        sigma = pooled.std(axis=axis, keepdims=True)
+        for name in names:
+            feats = coll[name]
+            out[name] = _with_cmvn(feats, _normalize(feats.data, mean, sigma,
+                                                     opts.norm_vars), opts)
+    return FeaturesCollection({name: out[name] for name in coll})
 
 
 def _with_cmvn(feats, data, opts):

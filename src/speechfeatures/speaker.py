@@ -16,9 +16,9 @@ import numpy as np
 
 from .features import Features, FeaturesCollection
 
-__all__ = ["DiagGmm", "UbmOptions", "VtlnOptions", "gmm_loglike",
-           "train_ubm", "estimate_warps", "warp_grid", "select_warp",
-           "save_warps", "load_warps", "save_gmm", "load_gmm"]
+__all__ = ["DiagGmm", "UbmOptions", "VtlnOptions", "train_ubm",
+           "estimate_warps", "warp_grid", "select_warp", "save_warps",
+           "load_warps", "save_gmm", "load_gmm"]
 
 NORM_TYPES = ("offset", "none", "diag")
 
@@ -52,13 +52,13 @@ class UbmOptions:
 @dataclass(frozen=True)
 class VtlnOptions:
     """Warp search grid and normalization applied during scoring."""
-    ubm: UbmOptions = field(default_factory=UbmOptions)
     num_iters: int = 15
     min_warp: float = 0.85
     max_warp: float = 1.15
     warp_step: float = 0.01
     logdet_scale: float = 0.0
     norm_type: str = "offset"
+    ubm: UbmOptions = field(default_factory=UbmOptions)
 
     def __post_init__(self):
         if not self.min_warp < 1.0 < self.max_warp:
@@ -123,11 +123,6 @@ class DiagGmm:
         comp = self.component_loglikes(frames)
         top = comp.max(axis=1, keepdims=True)
         return top[:, 0] + np.log(np.exp(comp - top).sum(axis=1))
-
-
-def gmm_loglike(gmm, frame):
-    """Mixture log-likelihood of a single frame."""
-    return float(gmm.loglikes(np.atleast_2d(frame))[0])
 
 
 def _em_step(gmm, data, min_weight, var_floor):
@@ -356,11 +351,15 @@ def load_warps(path):
     """Read a speaker -> warp map written by save_warps."""
     warps = {}
     with open(path, "r", encoding="utf-8") as fp:
-        for line in fp:
+        for lineno, line in enumerate(fp, start=1):
             if not line.strip():
                 continue
-            speaker, value = line.split()
-            warps[speaker] = float(value)
+            try:
+                speaker, value = line.split()
+                warps[speaker] = float(value)
+            except ValueError as err:
+                raise ValueError(f"{path}: line {lineno}: expected "
+                                 f"'<speaker> <warp>', got {line!r}") from err
     return warps
 
 

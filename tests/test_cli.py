@@ -93,6 +93,33 @@ class TestExtractCommand:
                      str(tmp_path / "out.bin")]) == 1
         assert "unparsable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, key", [
+        ("num_ceps:", "num_cepz:", "num_cepz"),
+        ("  by: speaker\n", "", "by"),
+        ("delta:\n  order: 2\n  window: 2\n", "delta: true\n", "delta"),
+        ("norm_vars: true\n", "norm_vars: true\nvtln:\n  ubm:\n    num_gaus: 8\n",
+         "num_gaus"),
+        ("  num_ceps:", "   num_ceps:", "line 17"),
+        # pitch frames are concatenated to the feature frames
+        ("snip_edges: true", "snip_edges: false", "snip_edges"),
+        ("frame_shift: 0.01", "frame_shift: 0.02", "frame_shift"),
+        ("sample_rate: 16000", "sample_rate: 8000", "sample_rate"),
+    ], ids=["unknown-key", "missing-key", "scalar-block", "nested-key",
+            "indentation", "snip-edges", "frame-shift", "sample-rate"])
+    def test_bad_config_fails_naming_file_and_key(self, tmp_path, small_corpus,
+                                                 capsys, old, new, key):
+        config = tmp_path / "config.txt"
+        main(["config", "mfcc", "--pitch", "kaldi", "--delta", "--cmvn",
+              "-o", str(config)])
+        text = config.read_text()
+        assert old in text
+        config.write_text(text.replace(old, new, 1))
+        assert main(["extract", str(config), str(small_corpus),
+                     str(tmp_path / "out.bin")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"speech-features: error: {config}: ")
+        assert key in err
+
 
 class TestEvalCommand:
     def test_pitch_metrics(self, tmp_path, capsys):

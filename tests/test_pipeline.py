@@ -1,4 +1,6 @@
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +9,9 @@ from speechfeatures import (ExtractionError, PipelineConfig, Utterance,
                             Utterances, VtlnOptions, default_config,
                             extract_features, load_wav, mfcc, read_config,
                             write_config, write_wav)
-from speechfeatures.pipeline import (_WarpedMfcc, config_from_dict,
-                                     config_to_dict, derive_seed)
+from speechfeatures.pipeline import (FEATURE_OPTIONS, _WarpedMfcc,
+                                     config_from_dict, config_to_dict,
+                                     derive_seed)
 from speechfeatures.speaker import warp_grid
 from speechfeatures.spectral import MfccOptions, SpectrogramOptions
 
@@ -35,6 +38,22 @@ def small_vtln_config(seed=0):
                               num_iters_init=3)
     return dataclasses.replace(
         config, vtln=dataclasses.replace(config.vtln, num_iters=2, ubm=ubm))
+
+
+def test_traced_names_resolve():
+    """bench/tracer.py wraps functions by the names the program calls them by."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for _, places, _ in tracer.TRACED:
+        for module_name, attribute in places:
+            module = importlib.import_module("speechfeatures." + module_name)
+            assert callable(getattr(module, attribute, None)), (module_name,
+                                                                attribute)
+    pipeline = importlib.import_module("speechfeatures.pipeline")
+    for features in FEATURE_OPTIONS:
+        assert callable(getattr(pipeline, features, None)), features
 
 
 class TestDefaultConfig:
@@ -66,7 +85,7 @@ class TestDefaultConfig:
 
 
 class TestConfigFile:
-    @pytest.mark.parametrize("features", ["spectrogram", "filterbank", "mfcc", "plp"])
+    @pytest.mark.parametrize("features", list(FEATURE_OPTIONS))
     def test_round_trip_plain(self, tmp_path, features):
         config = default_config(features)
         path = tmp_path / "config.txt"

@@ -70,6 +70,15 @@ class TestEstimatePitch:
         with pytest.raises(ValueError, match="frame length"):
             PitchOptions(min_f0=20.0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"frame_shift": 0.03}, "frame_shift <= frame_length"),
+        ({"frame_shift": 0.0}, "frame_shift <= frame_length"),
+        ({"sample_rate": 0}, "sample_rate"),
+    ])
+    def test_framing_rejected_at_construction(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            PitchOptions(**kwargs)
+
     def test_f0_bounds_invariant(self):
         opts = PitchOptions()
         for seed in range(3):

@@ -77,6 +77,9 @@ class TestCmvn:
         data = out["a"].data
         assert np.all(np.abs(data.mean(axis=1)) < 1e-10)
         assert np.all(np.abs(data.std(axis=1) - 1.0) < 1e-8)
+        x = coll["a"].data
+        mean, std = x.mean(axis=1, keepdims=True), x.std(axis=1, keepdims=True)
+        assert np.array_equal(data, (x - mean) / np.maximum(std, 1e-10))
 
     def test_idempotent(self):
         coll = random_collection({"a": (100, 3)})
@@ -107,6 +110,24 @@ class TestCmvn:
         out = cmvn_apply(coll, opts=CmvnOptions(by="utterance", norm_vars=False))
         centered = coll["a"].data - coll["a"].data.mean(axis=0)
         assert np.allclose(out["a"].data, centered)
+
+    def test_utterance_scope_is_one_speaker_per_utterance(self):
+        coll = random_collection({"a": (70, 4), "b": (50, 4), "c": (90, 4)})
+        for norm_vars in (True, False):
+            by_utterance = cmvn_apply(
+                coll, opts=CmvnOptions(by="utterance", norm_vars=norm_vars))
+            by_speaker = cmvn_apply(
+                coll, {name: name for name in coll},
+                CmvnOptions(by="speaker", norm_vars=norm_vars))
+            assert list(by_utterance) == list(coll)
+            for name, feats in coll.items():
+                assert np.array_equal(by_utterance[name].data,
+                                      by_speaker[name].data)
+            data = coll["b"].data
+            expected = data - data.mean(axis=0)
+            if norm_vars:
+                expected = expected / np.maximum(data.std(axis=0), 1e-10)
+            assert np.array_equal(by_utterance["b"].data, expected)
 
     def test_missing_speaker_rejected(self):
         coll = random_collection({"a": (30, 2), "b": (30, 2)})

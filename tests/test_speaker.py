@@ -3,8 +3,8 @@ import pytest
 
 from speechfeatures import (DiagGmm, Features, FeaturesCollection, UbmOptions,
                             Utterance, Utterances, VtlnOptions, estimate_warps,
-                            gmm_loglike, load_gmm, load_warps, save_gmm,
-                            save_warps, train_ubm)
+                            load_gmm, load_warps, save_gmm, save_warps,
+                            train_ubm)
 from speechfeatures.speaker import warp_grid
 
 
@@ -21,19 +21,19 @@ def naive_loglike(gmm, frame):
 class TestGmmLoglike:
     def test_single_gaussian_at_mean(self):
         gmm = DiagGmm([1.0], np.zeros((1, 2)), np.ones((1, 2)))
-        assert gmm_loglike(gmm, np.zeros(2)) == pytest.approx(-np.log(2 * np.pi),
-                                                              abs=1e-12)
+        assert gmm.loglikes(np.zeros(2))[0] == pytest.approx(
+            -np.log(2 * np.pi), abs=1e-12)
 
     def test_duplicate_components_collapse(self):
         single = DiagGmm([1.0], np.ones((1, 3)), np.full((1, 3), 2.0))
         double = DiagGmm([0.5, 0.5], np.ones((2, 3)), np.full((2, 3), 2.0))
         frame = np.array([0.3, -1.2, 2.0])
-        assert gmm_loglike(single, frame) == pytest.approx(
-            gmm_loglike(double, frame), abs=1e-12)
+        assert single.loglikes(frame)[0] == pytest.approx(
+            double.loglikes(frame)[0], abs=1e-12)
 
     def test_decreases_away_from_mean(self):
         gmm = DiagGmm([1.0], np.zeros((1, 1)), np.ones((1, 1)))
-        values = [gmm_loglike(gmm, np.array([d])) for d in (0.0, 0.5, 1.0, 2.0)]
+        values = [gmm.loglikes(np.array([d]))[0] for d in (0.0, 0.5, 1.0, 2.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_matches_naive_when_no_underflow(self):
@@ -45,18 +45,18 @@ class TestGmmLoglike:
             variances = rng.uniform(0.5, 2.0, (g, d))
             gmm = DiagGmm(weights, means, variances)
             frame = rng.standard_normal(d)
-            assert gmm_loglike(gmm, frame) == pytest.approx(
+            assert gmm.loglikes(frame)[0] == pytest.approx(
                 naive_loglike(gmm, frame), abs=1e-9)
 
     def test_no_underflow_far_away(self):
         gmm = DiagGmm([0.5, 0.5], np.array([[0.0], [100.0]]), np.ones((2, 1)))
-        value = gmm_loglike(gmm, np.array([1e4]))
+        value = gmm.loglikes(np.array([1e4]))[0]
         assert np.isfinite(value)
 
     def test_dimension_mismatch(self):
         gmm = DiagGmm([1.0], np.zeros((1, 2)), np.ones((1, 2)))
         with pytest.raises(ValueError, match="dimension"):
-            gmm_loglike(gmm, np.zeros(3))
+            gmm.loglikes(np.zeros(3))
 
 
 class TestDiagGmm:
@@ -292,6 +292,13 @@ class TestSerialization:
         assert load_warps(path) == warps
         text = path.read_text()
         assert "alice 0.97" in text
+
+    @pytest.mark.parametrize("line", ["carol", "carol 0.9 1.1", "carol x"])
+    def test_bad_warps_line_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "warps.txt"
+        path.write_text(f"alice 0.97\n\n{line}\n")
+        with pytest.raises(ValueError, match=f"{path}: line 3: .*{line}"):
+            load_warps(path)
 
     def test_gmm_round_trip(self, tmp_path):
         data = two_cluster_data(2000)
