@@ -12,14 +12,16 @@ the utterance name.
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import hashlib
+import typing
 from dataclasses import dataclass, asdict
 
 from .audio import Utterances, load_wav, resample, segment
 from .features import FeaturesCollection, concatenate
 from .pitch import PitchOptions, PostPitchOptions, estimate_pitch, postprocess_pitch
 from .postproc import CmvnOptions, DeltaOptions, cmvn_apply, delta
-from .speaker import UbmOptions, VtlnOptions, estimate_warps
+from .speaker import VtlnOptions, estimate_warps
 from .spectral import (FilterbankOptions, MfccOptions, PlpOptions,
                        SpectrogramOptions, _frame_spectra, _mfcc_from_spectra,
                        filterbank, mfcc, plp, spectrogram)
@@ -86,26 +88,16 @@ class PipelineConfig:
         if self.vtln is not None and self.features == "spectrogram":
             raise ValueError("warp normalization is not available for spectrogram")
         if self.pitch is not None:
-            framing = self.pitch.frame_options()
-            for key in ("sample_rate", "frame_shift", "frame_length", "snip_edges"):
-                ours, theirs = getattr(self.options, key), getattr(framing, key)
-                if ours != theirs:
-                    raise ValueError(
-                        f"pitch needs the {self.features} framing: {key} is "
-                        f"{ours!r} in {self.features}, {theirs!r} in pitch")
+            self.pitch.frame_options(self.options)
 
 
 def default_config(features, with_pitch=False, with_delta=False,
                    with_cmvn=False, with_vtln=False, seed=0):
     """A PipelineConfig with default parameters for the requested stages."""
-    options = _options_class(features)()
     return PipelineConfig(
         features=features,
-        options=options,
-        pitch=PitchOptions(sample_rate=options.sample_rate,
-                           frame_shift=options.frame_shift,
-                           frame_length=options.frame_length)
-        if with_pitch else None,
+        options=_options_class(features)(),
+        pitch=PitchOptions() if with_pitch else None,
         pitch_post=PostPitchOptions() if with_pitch else None,
         delta=DeltaOptions() if with_delta else None,
         cmvn=CmvnOptions(by="speaker") if with_cmvn else None,
@@ -123,27 +115,54 @@ def config_to_dict(config):
     return out
 
 
+def _typed(key, kind, value):
+    """`value` as held by a field `key` annotated `kind`, or ValueError.
+
+    An int passes for a float; an options class is built from a block.
+    """
+    if dataclasses.is_dataclass(kind):
+        try:
+            return _options_from_block(kind, value)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"{key}: {err}") from err
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise ValueError(f"{key}: expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def _check_keys(tree, known):
+    for key in tree:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r}")
+
+
+def _options_from_block(cls, block):
+    """An options dataclass from a parsed block, each value type-checked."""
+    if not isinstance(block, dict):
+        raise ValueError(f"expected a parameter block, got {block!r}")
+    kinds = typing.get_type_hints(cls)
+    _check_keys(block, kinds)
+    return cls(**{key: _typed(key, kinds[key], value)
+                  for key, value in block.items()})
+
+
 def config_from_dict(tree):
-    """Inverse of config_to_dict."""
+    """Inverse of config_to_dict; unknown keys and mistyped values fail."""
     tree = dict(tree)
     features = tree.get("features")
     blocks = {features: ("options", _options_class(features)), **_STAGES}
     if features not in tree:
         raise ValueError(f"config is missing the {features!r} parameter block")
+    _check_keys(tree, {"features", "seed", *blocks})
     if "pitch" in tree:
         tree.setdefault("pitch_postprocessing", {})
-    kwargs = {}
-    for block, (name, cls) in blocks.items():
-        if block in tree:
-            try:
-                values = tree[block]
-                if cls is VtlnOptions and "ubm" in values:
-                    values = dict(values, ubm=UbmOptions(**values["ubm"]))
-                kwargs[name] = cls(**values)
-            except (TypeError, ValueError) as err:
-                raise ValueError(f"{block}: {err}") from err
-    return PipelineConfig(features=features, seed=int(tree.get("seed", 0)),
-                          **kwargs)
+    stages = {name: _typed(block, cls, tree[block])
+              for block, (name, cls) in blocks.items() if block in tree}
+    return PipelineConfig(features=features,
+                          seed=_typed("seed", int, tree.get("seed", 0)),
+                          **stages)
 
 
 def _format_scalar(value):
@@ -276,7 +295,7 @@ def _extract_one(config, utt, warp):
     if config.delta is not None:
         feats = delta(feats, config.delta)
     if config.pitch is not None:
-        raw = estimate_pitch(audio, config.pitch)
+        raw = estimate_pitch(audio, config.pitch, config.options)
         post = postprocess_pitch(raw, config.pitch_post,
                                  seed=derive_seed(config.seed, utt.name + "::pitch"))
         feats = concatenate(feats, post)

@@ -39,10 +39,7 @@ _NORMALIZATION_WINDOW = 151
 
 @dataclass(frozen=True)
 class PitchOptions:
-    """Pitch tracker parameters (frequencies in Hz, times in seconds)."""
-    sample_rate: int = 16000
-    frame_shift: float = 0.01
-    frame_length: float = 0.025
+    """Pitch tracker parameters (Hz); the framing is the features' own."""
     min_f0: float = 50.0
     max_f0: float = 400.0
     soft_min_f0: float = 10.0
@@ -53,7 +50,6 @@ class PitchOptions:
     nccf_ballast: float = 7000.0
 
     def __post_init__(self):
-        self.frame_options()
         if not 0 < self.min_f0 < self.max_f0:
             raise ValueError(
                 f"need 0 < min_f0 < max_f0, got {self.min_f0} and {self.max_f0}")
@@ -61,18 +57,24 @@ class PitchOptions:
             raise ValueError(
                 f"need max_f0 < lowpass_cutoff <= resample_freq/2, got "
                 f"{self.max_f0}, {self.lowpass_cutoff}, {self.resample_freq}")
-        if 1.0 / self.min_f0 > self.frame_length:
-            raise ValueError(
-                f"min_f0 {self.min_f0} Hz implies lags beyond the "
-                f"{self.frame_length} s frame length")
         if self.delta_pitch <= 0:
             raise ValueError(f"delta_pitch must be > 0, got {self.delta_pitch}")
 
-    def frame_options(self):
-        """Framing options giving the frame count and times of the output."""
+    def frame_options(self, framing):
+        """Pitch's undithered framing, with the frames of FrameOptions `framing`.
+
+        Raises ValueError unless `framing` snips edges and its frames span
+        the longest lag, 1/min_f0.
+        """
+        if not framing.snip_edges:
+            raise ValueError("pitch needs snip_edges: true")
+        if 1.0 / self.min_f0 > framing.frame_length:
+            raise ValueError(
+                f"min_f0 {self.min_f0} Hz implies lags beyond the "
+                f"{framing.frame_length} s frame length")
         return FrameOptions(
-            sample_rate=self.sample_rate, frame_shift=self.frame_shift,
-            frame_length=self.frame_length, dither=0.0, snip_edges=True)
+            sample_rate=framing.sample_rate, frame_shift=framing.frame_shift,
+            frame_length=framing.frame_length, dither=0.0, snip_edges=True)
 
 
 @dataclass(frozen=True)
@@ -143,19 +145,20 @@ def _frame_nccf(signal, frame_starts, window_size, int_lags, ballast):
     return normalize(0.0), normalize(ballast)
 
 
-def estimate_pitch(audio, opts=None):
+def estimate_pitch(audio, opts=None, framing=None):
     """Track pitch over an Audio, one estimate per frame.
 
     Returns Features with two columns, the plain NCCF at the selected lag
     (in [-1, 1]) and the f0 estimate in Hz (within [min_f0, max_f0]), and
-    frame-center times matching the spectro-temporal processors.
+    the frame-center times of features framed by `framing` (FrameOptions,
+    default FrameOptions()).
     """
     opts = opts or PitchOptions()
-    if audio.sample_rate != opts.sample_rate:
+    frame_opts = opts.frame_options(framing or FrameOptions())
+    if audio.sample_rate != frame_opts.sample_rate:
         raise ValueError(
             f"audio at {audio.sample_rate} Hz but options expect "
-            f"{opts.sample_rate} Hz; resample first")
-    frame_opts = opts.frame_options()
+            f"{frame_opts.sample_rate} Hz; resample first")
     m = num_frames(audio.nsamples, frame_opts)
     if m == 0:
         raise ValueError(
@@ -165,11 +168,11 @@ def estimate_pitch(audio, opts=None):
     # follows 2 * resample_freq / lowpass_cutoff, rounded up to odd
     zeros = int(2 * opts.resample_freq / opts.lowpass_cutoff)
     zeros += 1 - zeros % 2
-    signal = sinc_resample(audio.samples, opts.sample_rate, opts.resample_freq,
+    signal = sinc_resample(audio.samples, audio.sample_rate, opts.resample_freq,
                            cutoff=opts.lowpass_cutoff, zeros=zeros)
 
-    window_size = int(round(opts.frame_length * opts.resample_freq))
-    shift = int(round(opts.frame_shift * opts.resample_freq))
+    window_size = int(round(frame_opts.frame_length * opts.resample_freq))
+    shift = int(round(frame_opts.frame_shift * opts.resample_freq))
     frame_starts = np.arange(m) * shift
 
     lags = _lag_grid(opts)
@@ -209,8 +212,11 @@ def estimate_pitch(audio, opts=None):
     nccf = np.clip(plain_grid[rows, path], -1.0, 1.0)
     f0 = 1.0 / lags[path]
     data = np.column_stack([nccf, f0])
+    params = {"sample_rate": frame_opts.sample_rate,
+              "frame_shift": frame_opts.frame_shift,
+              "frame_length": frame_opts.frame_length, **asdict(opts)}
     return Features(data, frame_times(m, frame_opts),
-                    {"processor": "pitch", "pitch": asdict(opts)})
+                    {"processor": "pitch", "pitch": params})
 
 
 def nccf_to_pov(nccf):

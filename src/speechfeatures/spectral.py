@@ -40,12 +40,20 @@ def inverse_mel(mels):
 
 
 @dataclass(frozen=True)
-class MelOptions(FrameOptions):
-    """Mel filterbank placement parameters.
+class SpectrogramOptions(FrameOptions):
+    """Framing plus the log frame energy options of every feature type."""
+    energy_floor: float = 0.0
+    raw_energy: bool = True
+
+
+@dataclass(frozen=True)
+class MelOptions(SpectrogramOptions):
+    """Mel filterbank placement parameters, and whether to emit the energy.
 
     Frequencies <= 0 for high_freq and vtln_high (and vtln_low) are relative
     to the Nyquist frequency.
     """
+    use_energy: bool = False
     num_bins: int = 23
     low_freq: float = 20.0
     high_freq: float = 0.0
@@ -80,16 +88,7 @@ class MelOptions(FrameOptions):
 
 
 @dataclass(frozen=True)
-class SpectrogramOptions(FrameOptions):
-    energy_floor: float = 0.0
-    raw_energy: bool = True
-
-
-@dataclass(frozen=True)
 class FilterbankOptions(MelOptions):
-    use_energy: bool = False
-    energy_floor: float = 0.0
-    raw_energy: bool = True
     use_log_fbank: bool = True
     use_power: bool = True
 
@@ -97,9 +96,6 @@ class FilterbankOptions(MelOptions):
 @dataclass(frozen=True)
 class MfccOptions(MelOptions):
     num_ceps: int = 13
-    use_energy: bool = False
-    energy_floor: float = 0.0
-    raw_energy: bool = True
     cepstral_lifter: float = 22.0
 
     def __post_init__(self):
@@ -115,9 +111,6 @@ class PlpOptions(MelOptions):
     rasta: bool = False
     lpc_order: int = 12
     num_ceps: int = 13
-    use_energy: bool = False
-    energy_floor: float = 0.0
-    raw_energy: bool = True
     compress_factor: float = 1.0 / 3.0
     cepstral_lifter: float = 22.0
     cepstral_scale: float = 1.0

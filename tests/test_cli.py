@@ -25,6 +25,68 @@ def small_corpus(tmp_path):
     return manifest
 
 
+FULL_CONFIG_TEXT = """\
+features: mfcc
+seed: 0
+mfcc:
+  sample_rate: 16000
+  frame_shift: 0.01
+  frame_length: 0.025
+  dither: 0.1
+  preemph_coeff: 0.97
+  remove_dc_offset: true
+  window_type: povey
+  snip_edges: true
+  energy_floor: 0.0
+  raw_energy: true
+  use_energy: false
+  num_bins: 23
+  low_freq: 20.0
+  high_freq: 0.0
+  vtln_low: 100.0
+  vtln_high: -500.0
+  num_ceps: 13
+  cepstral_lifter: 22.0
+pitch:
+  min_f0: 50.0
+  max_f0: 400.0
+  soft_min_f0: 10.0
+  penalty_factor: 0.1
+  lowpass_cutoff: 1000.0
+  resample_freq: 4000.0
+  delta_pitch: 0.005
+  nccf_ballast: 7000.0
+pitch_postprocessing:
+  pitch_scale: 2.0
+  pov_scale: 2.0
+  delta_pitch_scale: 10.0
+  delta_pitch_noise_stddev: 0.005
+  delta_window: 2
+  delay: 0
+delta:
+  order: 2
+  window: 2
+cmvn:
+  by: speaker
+  norm_vars: true
+vtln:
+  num_iters: 15
+  min_warp: 0.85
+  max_warp: 1.15
+  warp_step: 0.01
+  logdet_scale: 0.0
+  norm_type: offset
+  ubm:
+    num_gauss: 64
+    num_iters: 4
+    initial_gauss_proportion: 0.5
+    num_iters_init: 20
+    num_frames: 500000
+    min_gaussian_weight: 0.0001
+    remove_low_count_gaussians: false
+"""
+
+
 class TestConfigCommand:
     def test_writes_file(self, tmp_path):
         out = tmp_path / "config.txt"
@@ -41,6 +103,12 @@ class TestConfigCommand:
     def test_rejects_unknown_pitch(self, capsys):
         with pytest.raises(SystemExit):
             main(["config", "mfcc", "--pitch", "crepe"])
+
+    def test_full_config_text(self, capsys):
+        """The exact text, so that a reordered option shows up here."""
+        assert main(["config", "mfcc", "--pitch", "kaldi", "--delta", "--cmvn",
+                     "--vtln"]) == 0
+        assert capsys.readouterr().out == FULL_CONFIG_TEXT
 
 
 class TestExtractCommand:
@@ -99,13 +167,22 @@ class TestExtractCommand:
         ("delta:\n  order: 2\n  window: 2\n", "delta: true\n", "delta"),
         ("norm_vars: true\n", "norm_vars: true\nvtln:\n  ubm:\n    num_gaus: 8\n",
          "num_gaus"),
-        ("  num_ceps:", "   num_ceps:", "line 17"),
+        ("  num_ceps:", "   num_ceps:", "line 20"),
         # pitch frames are concatenated to the feature frames
         ("snip_edges: true", "snip_edges: false", "snip_edges"),
-        ("frame_shift: 0.01", "frame_shift: 0.02", "frame_shift"),
-        ("sample_rate: 16000", "sample_rate: 8000", "sample_rate"),
+        ("min_f0: 50.0", "min_f0: 20.0", "min_f0"),
+        # and pitch takes the framing of the feature block, not its own
+        ("pitch:\n", "pitch:\n  frame_shift: 0.02\n", "frame_shift"),
+        ("pitch:\n", "pitch:\n  sample_rate: 8000\n", "sample_rate"),
+        ("cmvn:", "cmnv:", "cmnv"),
+        ("num_ceps: 13", "num_ceps: 13.5", "num_ceps"),
+        ("use_energy: false", "use_energy: 7", "use_energy"),
+        ("num_bins: 23", "num_bins: true", "num_bins"),
+        ("seed: 0", "seed:", "seed"),
     ], ids=["unknown-key", "missing-key", "scalar-block", "nested-key",
-            "indentation", "snip-edges", "frame-shift", "sample-rate"])
+            "indentation", "snip-edges", "min-f0", "frame-shift",
+            "sample-rate", "unknown-block", "float-for-int", "int-for-bool",
+            "bool-for-int", "empty-seed"])
     def test_bad_config_fails_naming_file_and_key(self, tmp_path, small_corpus,
                                                  capsys, old, new, key):
         config = tmp_path / "config.txt"
@@ -119,6 +196,21 @@ class TestExtractCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"speech-features: error: {config}: ")
         assert key in err
+
+    def test_pitch_follows_the_feature_framing(self, tmp_path, small_corpus):
+        config = tmp_path / "config.txt"
+        output = tmp_path / "features.bin"
+        main(["config", "mfcc", "--pitch", "kaldi", "--delta", "--cmvn",
+              "-o", str(config)])
+        text = config.read_text()
+        config.write_text(text.replace("frame_shift: 0.01", "frame_shift: 0.02", 1))
+        assert main(["extract", str(config), str(small_corpus),
+                     str(output)]) == 0
+        coll = FeaturesCollection.load(output, format="binary")
+        for feats in coll.values():
+            # 0.3 s at 16 kHz: (4800 - 400) // 320 + 1 frames of 0.02 s
+            assert feats.nframes == 14 and feats.nchannels == 42
+            assert np.allclose(np.diff(feats.times[:, 0]), 0.02)
 
 
 class TestEvalCommand:

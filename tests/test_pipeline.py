@@ -113,6 +113,15 @@ class TestConfigFile:
         path.write_text(text)
         assert read_config(path).options.num_ceps == 20
 
+    def test_int_read_as_float_for_a_float_option(self, tmp_path):
+        path = tmp_path / "config.txt"
+        write_config(default_config("mfcc"), path)
+        path.write_text(path.read_text().replace("energy_floor: 0.0",
+                                                 "energy_floor: 1"))
+        config = read_config(path)
+        assert type(config.options.energy_floor) is float
+        assert config.options.energy_floor == 1.0
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         config = default_config("mfcc")
         path = tmp_path / "config.txt"

@@ -68,7 +68,19 @@ class TestEstimatePitch:
 
     def test_lag_beyond_frame_rejected(self):
         with pytest.raises(ValueError, match="frame length"):
-            PitchOptions(min_f0=20.0)
+            estimate_pitch(make_tone(220), PitchOptions(min_f0=20.0))
+
+    def test_unsnipped_framing_rejected(self):
+        with pytest.raises(ValueError, match="snip_edges"):
+            estimate_pitch(make_tone(220), framing=FrameOptions(snip_edges=False))
+
+    def test_frames_follow_the_feature_framing(self):
+        from speechfeatures import MfccOptions, mfcc
+        audio = make_tone(220, rate=8000)
+        opts = MfccOptions(sample_rate=8000, frame_shift=0.02, frame_length=0.03)
+        raw = estimate_pitch(audio, framing=opts)
+        assert np.array_equal(raw.times, mfcc(audio, opts).times)
+        assert raw.properties["pitch"]["frame_shift"] == 0.02
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"frame_shift": 0.03}, "frame_shift <= frame_length"),
@@ -76,8 +88,9 @@ class TestEstimatePitch:
         ({"sample_rate": 0}, "sample_rate"),
     ])
     def test_framing_rejected_at_construction(self, kwargs, message):
+        # pitch takes its framing from the FrameOptions of the features
         with pytest.raises(ValueError, match=message):
-            PitchOptions(**kwargs)
+            FrameOptions(**kwargs)
 
     def test_f0_bounds_invariant(self):
         opts = PitchOptions()
