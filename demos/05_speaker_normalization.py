@@ -6,15 +6,16 @@ above the first's and estimates frequency warp factors: the shifted speaker
 lands below 1.0, compensating the shift, without any transcription.
 """
 
+import functools
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from speechfeatures import (Audio, UbmOptions, Utterance, Utterances,
-                            VtlnOptions, estimate_warps, save_warps, train_ubm,
-                            write_wav)
-from speechfeatures.pipeline import _WarpedMfcc
+from speechfeatures import (Audio, MfccOptions, UbmOptions, Utterance,
+                            Utterances, VtlnOptions, estimate_warps, save_warps,
+                            train_ubm, write_wav)
+from speechfeatures.pipeline import _warped_mfccs
 
 rng = np.random.default_rng(0)
 
@@ -64,7 +65,13 @@ for speaker, scale in (("deep", 1.0), ("bright", 1.1)):
         items.append(Utterance(name, str(path), speaker=speaker))
 corpus = Utterances(items)
 
-warps = estimate_warps(corpus, _WarpedMfcc(rate, seed=0), VtlnOptions(), seed=0)
+# the search asks an extractor (utterance, warps) -> [one frame matrix per
+# warp] for each utterance's whole warp grid once per round, and keeps only
+# the frames at each speaker's selected warp between rounds; the pipeline's
+# extractor reads and frames the utterance once per call
+extractor = functools.partial(_warped_mfccs, opts=MfccOptions(sample_rate=rate),
+                              seed=0)
+warps = estimate_warps(corpus, extractor, VtlnOptions(), seed=0)
 print(f"\nestimated warps: {warps}")
 print("the 10% brighter speaker is pulled under 1.0: "
       f"{warps['bright'] < 1.0 <= warps['deep']}")

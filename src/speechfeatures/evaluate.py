@@ -130,11 +130,8 @@ class AbxTriplet:
     a: object
     b: object
     x: object
-    label: str = "a"
 
     def __post_init__(self):
-        if self.label != "a":
-            raise ValueError("the matching item must be labelled 'a'")
         channels = {_frames(item).shape[1] for item in (self.a, self.b, self.x)}
         if len(channels) != 1:
             raise ValueError(f"triplet channel counts differ: {sorted(channels)}")

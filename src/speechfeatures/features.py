@@ -39,6 +39,9 @@ MAGIC = b"SHN1"
 # two Features "share times" when they differ by less than this, in seconds
 TIME_TOLERANCE = 1e-9
 
+# first line of a saved CSV, followed by the number of time columns
+TIME_COLUMNS = "# time_columns: "
+
 
 class FeaturesFormatError(ValueError):
     """Raised when a stored collection does not match the documented format."""
@@ -161,9 +164,10 @@ def save_collection(coll, path, format="binary"):
     """Save a FeaturesCollection as CSV files or a binary container.
 
     With format="csv", `path` is a directory receiving one `<name>.csv`
-    (time columns then data columns, one frame per row, full precision) and
-    one `<name>.json` properties file per item. With format="binary" a
-    single container file is written (layout in the module docstring).
+    (a `# time_columns: <t>` line, then time columns and data columns, one
+    frame per row, full precision) and one `<name>.json` properties file per
+    item. With format="binary" a single container file is written (layout
+    in the module docstring).
     """
     if format == "csv":
         _save_csv(coll, path)
@@ -189,14 +193,30 @@ def _save_csv(coll, path):
     os.makedirs(path, exist_ok=True)
     for name, feats in coll.items():
         rows = np.hstack([feats.times, feats.data])
-        np.savetxt(os.path.join(path, name + ".csv"), rows,
-                   fmt="%.17g", delimiter=",")
+        np.savetxt(os.path.join(path, name + ".csv"), rows, fmt="%.17g",
+                   delimiter=",", header=f"{TIME_COLUMNS}{feats.times.shape[1]}",
+                   comments="")
         with open(os.path.join(path, name + ".json"), "w", encoding="utf-8") as fp:
             json.dump(feats.properties, fp, indent=2)
 
 
+def _time_columns(header, rows):
+    """The time-column count a CSV's first line states, or else a guess.
+
+    Without that line, columns 0 and 1 are both read as times when both
+    behave like times.
+    """
+    if not header.startswith(TIME_COLUMNS):
+        return 2 if _looks_like_intervals(rows) else 1
+    t = header[len(TIME_COLUMNS):].strip()
+    if t not in ("1", "2"):
+        raise ValueError(f"bad header {header.strip()!r}, expected "
+                         f"'{TIME_COLUMNS}1' or '{TIME_COLUMNS}2'")
+    return int(t)
+
+
 def _looks_like_intervals(cols):
-    """Heuristic for headerless CSV: are columns 0 and 1 both time columns?"""
+    """Are columns 0 and 1 of a headerless CSV both time columns?"""
     if cols.shape[1] < 3:
         return False
     onsets, offsets = cols[:, 0], cols[:, 1]
@@ -213,14 +233,17 @@ def _load_csv(path):
         if not fname.endswith(".csv"):
             continue
         name = fname[:-4]
-        rows = np.loadtxt(os.path.join(path, fname), delimiter=",", ndmin=2)
+        with open(os.path.join(path, fname), "r", encoding="utf-8") as fp:
+            header = fp.readline()
+            fp.seek(0)
+            rows = np.loadtxt(fp, delimiter=",", ndmin=2)
         props_path = os.path.join(path, name + ".json")
         properties = {}
         if os.path.exists(props_path):
             with open(props_path, "r", encoding="utf-8") as fp:
                 properties = json.load(fp)
-        t = 2 if _looks_like_intervals(rows) else 1
         try:
+            t = _time_columns(header, rows)
             coll[name] = Features(rows[:, t:], rows[:, :t], properties)
         except ValueError as err:
             raise FeaturesFormatError(f"{path}/{fname}: {err}") from err

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import functools
 import hashlib
 import typing
 from dataclasses import dataclass, asdict
@@ -23,7 +24,7 @@ from .pitch import PitchOptions, PostPitchOptions, estimate_pitch, postprocess_p
 from .postproc import CmvnOptions, DeltaOptions, cmvn_apply, delta
 from .speaker import VtlnOptions, estimate_warps
 from .spectral import (FilterbankOptions, MfccOptions, PlpOptions,
-                       SpectrogramOptions, _frame_spectra, _mfcc_from_spectra,
+                       SpectrogramOptions, _frame_spectra, _mfcc_stage,
                        filterbank, mfcc, plp, spectrogram)
 
 __all__ = ["PipelineConfig", "ExtractionError", "default_config",
@@ -218,12 +219,13 @@ def _parse_tree(text):
         if not stack:
             raise ValueError(f"line {lineno}: indentation does not match")
         _, parent = stack[-1]
-        value = value.strip()
+        key, value = key.strip(), value.strip()
+        if key in parent:
+            raise ValueError(f"line {lineno}: repeated key {key!r}")
         if value:
-            parent[key.strip()] = _parse_scalar(value)
+            parent[key] = _parse_scalar(value)
         else:
-            child = {}
-            parent[key.strip()] = child
+            parent[key] = child = {}
             stack.append((level, child))
     return root
 
@@ -263,23 +265,15 @@ def _load_utterance_audio(utt, sample_rate):
     return audio
 
 
-class _WarpedMfcc:
-    """(utterance, warp) -> Features extractor backing warp estimation.
+def _warped_mfccs(utt, warps, opts, seed):
+    """The warp search's extractor: one MFCC matrix of `utt` per warp.
 
-    Dither is seeded per utterance, so every warp reuses one power spectrum.
+    The audio is read and framed once, with dither seeded per utterance, so
+    each matrix equals mfcc(...).data at its warp.
     """
-
-    def __init__(self, sample_rate, seed):
-        self.opts = MfccOptions(sample_rate=sample_rate)
-        self.seed = seed
-        self._spectra = {}
-
-    def __call__(self, utt, warp):
-        if utt.name not in self._spectra:
-            audio = _load_utterance_audio(utt, self.opts.sample_rate)
-            self._spectra[utt.name] = _frame_spectra(
-                audio, self.opts, derive_seed(self.seed, utt.name))
-        return _mfcc_from_spectra(self._spectra[utt.name], self.opts, warp)
+    audio = _load_utterance_audio(utt, opts.sample_rate)
+    power, energy, _ = _frame_spectra(audio, opts, derive_seed(seed, utt.name))
+    return [_mfcc_stage(power, energy, opts, warp) for warp in warps]
 
 
 def _extract_one(config, utt, warp):
@@ -338,8 +332,9 @@ def extract_features(config, utterances, njobs=1):
 
     warps = {name: 1.0 for name in (u.name for u in utterances)}
     if config.vtln is not None:
-        extractor = _WarpedMfcc(config.options.sample_rate,
-                                derive_seed(config.seed, "::vtln-features"))
+        extractor = functools.partial(
+            _warped_mfccs, opts=MfccOptions(sample_rate=config.options.sample_rate),
+            seed=derive_seed(config.seed, "::vtln-features"))
         speaker_warps = estimate_warps(
             utterances, extractor, config.vtln,
             seed=derive_seed(config.seed, "::vtln-ubm"))

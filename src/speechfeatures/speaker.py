@@ -277,13 +277,12 @@ def select_warp(grid, scores):
 def estimate_warps(utterances, extractor, opts=None, seed=0):
     """Estimate one frequency warp factor per speaker, unsupervised.
 
-    `extractor` is a callable (utterance, warp) -> Features producing the
-    features used for model training and scoring; it may be called more
-    than once per (utterance, warp) pair and must be deterministic. Each
-    round scores every speaker's frames at every warp of the grid against a
-    UBM trained on the currently selected warps (starting from 1.0 for
-    everyone) and keeps the most likely warp; rounds stop early once the
-    warp assignment is stable.
+    `extractor` is a deterministic callable (utterance, warps) -> [one
+    [m, d] frame matrix per warp]; each round asks it once per utterance for
+    the whole grid. Each round scores every speaker's frames at every warp
+    against a UBM trained on the frames at the selected warps (1.0 for
+    everyone at first), and keeps the most likely warp and only its frames;
+    rounds stop early once the warp assignment is stable.
     Ties prefer the warp closest to 1.0, then the smaller warp.
 
     With norm_type "offset" the speaker's feature mean is replaced by the
@@ -294,32 +293,30 @@ def estimate_warps(utterances, extractor, opts=None, seed=0):
     opts = opts or VtlnOptions()
     if not utterances.has_speakers:
         raise ValueError("warp estimation requires speakered utterances")
-    grid = warp_grid(opts)
+    grid = warp_grid(opts).tolist()
     # name-sorted grouping keeps every reduction bit-identical no matter
     # how the manifest is ordered
     by_speaker = {
         speaker: sorted(utts, key=lambda u: u.name)
         for speaker, utts in sorted(utterances.by_speaker().items())}
 
-    def speaker_frames(speaker, warp):
-        return np.vstack([extractor(u, float(warp)).data
-                          for u in by_speaker[speaker]])
-
     warps = {speaker: 1.0 for speaker in by_speaker}
+    selected = {speaker: np.vstack([extractor(u, [1.0])[0] for u in utts])
+                for speaker, utts in by_speaker.items()}
     for _ in range(opts.num_iters):
-        train_data = np.vstack([
-            speaker_frames(speaker, warps[speaker]) for speaker in by_speaker])
+        train_data = np.vstack(list(selected.values()))
         gmm = train_ubm(train_data, opts.ubm, seed=seed)
         corpus_mean = train_data.mean(axis=0)
         corpus_std = np.maximum(train_data.std(axis=0), 1e-10)
 
         new_warps = {}
-        for speaker in by_speaker:
-            scores = [
-                _warp_score(gmm, speaker_frames(speaker, warp),
-                            corpus_mean, corpus_std, opts)
-                for warp in grid]
-            new_warps[speaker] = select_warp(grid, scores)
+        for speaker, utts in by_speaker.items():
+            frames = [np.vstack(per_warp)
+                      for per_warp in zip(*(extractor(u, grid) for u in utts))]
+            new_warps[speaker] = select_warp(grid, [
+                _warp_score(gmm, f, corpus_mean, corpus_std, opts) for f in frames])
+            selected[speaker] = frames[grid.index(new_warps[speaker])]
+            del frames  # hold one speaker's grid of frames at a time
         if new_warps == warps:
             break
         warps = new_warps

@@ -272,19 +272,23 @@ def filterbank(audio, opts=None, vtln_warp=1.0, seed=0):
                     _properties("filterbank", opts, vtln_warp=vtln_warp))
 
 
+@functools.lru_cache(maxsize=None)
 def dct_matrix(num_rows, num_cols):
-    """Orthonormal DCT-II matrix, num_rows coefficients of num_cols inputs."""
+    """Orthonormal DCT-II [num_rows, num_cols] matrix (cached, read-only)."""
     k = np.arange(num_rows)[:, None]
     n = np.arange(num_cols)[None, :]
     mat = np.sqrt(2.0 / num_cols) * np.cos(np.pi * k * (2 * n + 1) / (2 * num_cols))
     mat[0] *= 1.0 / np.sqrt(2.0)
+    mat.flags.writeable = False
     return mat
 
 
+@functools.lru_cache(maxsize=None)
 def lifter_coeffs(num_ceps, q):
-    """Sinusoidal liftering coefficients 1 + (Q/2) sin(pi i / Q)."""
-    i = np.arange(num_ceps)
-    return 1.0 + 0.5 * q * np.sin(np.pi * i / q)
+    """Sinusoidal liftering coefficients 1 + (Q/2) sin(pi i / Q) (cached, read-only)."""
+    coeffs = 1.0 + 0.5 * q * np.sin(np.pi * np.arange(num_ceps) / q)
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 def mfcc(audio, opts=None, vtln_warp=1.0, seed=0):
@@ -295,12 +299,13 @@ def mfcc(audio, opts=None, vtln_warp=1.0, seed=0):
     replaced by the log frame energy.
     """
     opts = opts or MfccOptions()
-    return _mfcc_from_spectra(_frame_spectra(audio, opts, seed), opts, vtln_warp)
+    power, energy, times = _frame_spectra(audio, opts, seed)
+    return Features(_mfcc_stage(power, energy, opts, vtln_warp), times,
+                    _properties("mfcc", opts, vtln_warp=vtln_warp))
 
 
-def _mfcc_from_spectra(spectra, opts, vtln_warp):
-    """The MFCC stage of mfcc() over a _frame_spectra result (not modified)."""
-    power, energy, times = spectra
+def _mfcc_stage(power, energy, opts, vtln_warp):
+    """mfcc()'s [m, num_ceps] matrix from _frame_spectra's power and energy."""
     banks = compute_mel_banks(opts, next_power_of_two(opts.window_size), vtln_warp)
     log_mel = np.log(np.maximum(banks.apply(power), TINY))
     ceps = log_mel @ dct_matrix(opts.num_ceps, opts.num_bins).T
@@ -308,7 +313,7 @@ def _mfcc_from_spectra(spectra, opts, vtln_warp):
         ceps = ceps * lifter_coeffs(opts.num_ceps, opts.cepstral_lifter)[None, :]
     if opts.use_energy:
         ceps[:, 0] = energy
-    return Features(ceps, times, _properties("mfcc", opts, vtln_warp=vtln_warp))
+    return ceps
 
 
 def equal_loudness(freqs):

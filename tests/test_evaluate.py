@@ -146,11 +146,6 @@ class TestAbx:
         with pytest.raises(ValueError):
             abx_score([])
 
-    def test_label_must_be_a(self):
-        x = feats(np.ones((2, 2)))
-        with pytest.raises(ValueError):
-            AbxTriplet(x, x, x, label="b")
-
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError, match="channel"):
             AbxTriplet(feats(np.ones((2, 2))), feats(np.ones((2, 3))),

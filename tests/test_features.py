@@ -133,6 +133,36 @@ class TestCsvFormat:
         assert back["utt1"].times.shape == (20, 2)
         assert np.allclose(back["utt1"].data, coll["utt1"].data, atol=1e-12)
 
+    def test_time_column_count_round_trips(self, tmp_path):
+        # the first data column is times + 1: it behaves like an offset
+        times = np.arange(5) * 0.01 + 0.005
+        data = np.column_stack([times + 1.0, np.arange(5.0), -np.arange(5.0)])
+        coll = FeaturesCollection({"u": Features(data, times)})
+        coll.save(tmp_path / "out", format="csv")
+        assert (tmp_path / "out" / "u.csv").read_text().startswith(
+            "# time_columns: 1\n")
+        back = FeaturesCollection.load(tmp_path / "out", format="csv")
+        assert back["u"].times.shape == (5, 1)
+        assert back["u"].data.shape == (5, 3)
+        assert np.array_equal(back["u"].data, data)
+
+    def test_headerless_csv_guesses_time_columns(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "a.csv").write_text("0.0,0.02,7.0\n0.01,0.03,8.0\n")
+        (out / "b.csv").write_text("0.0,5.0,7.0\n0.01,4.0,8.0\n")
+        back = load_collection(out, format="csv")
+        assert back["a"].times.shape == (2, 2)
+        assert back["b"].times.shape == (2, 1)
+
+    @pytest.mark.parametrize("header", ["# time_columns: 3", "# time_columns: x"])
+    def test_bad_time_column_header_rejected(self, tmp_path, header):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "bad.csv").write_text(f"{header}\n0.0,1.0,2.0\n0.01,1.0,2.0\n")
+        with pytest.raises(FeaturesFormatError, match="time_columns"):
+            load_collection(out, format="csv")
+
     def test_name_with_separator_rejected(self, tmp_path):
         coll = FeaturesCollection({"a/b": random_features()})
         with pytest.raises(ValueError, match="separator"):

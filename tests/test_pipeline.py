@@ -9,7 +9,7 @@ from speechfeatures import (ExtractionError, PipelineConfig, Utterance,
                             Utterances, VtlnOptions, default_config,
                             extract_features, load_wav, mfcc, read_config,
                             write_config, write_wav)
-from speechfeatures.pipeline import (FEATURE_OPTIONS, _WarpedMfcc,
+from speechfeatures.pipeline import (FEATURE_OPTIONS, _warped_mfccs,
                                      config_from_dict, config_to_dict,
                                      derive_seed)
 from speechfeatures.speaker import warp_grid
@@ -150,6 +150,24 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="block"):
             read_config(path)
 
+    @pytest.mark.parametrize("old, new, line, key", [
+        # a second vtln block, typo included, ahead of the generated one
+        ("vtln:\n", "vtln:\n  ubm:\n    num_gaus: 8\nvtln:\n", 31, "vtln"),
+        ("seed: 0\n", "seed: 1\nseed: 2\n", 3, "seed"),
+        ("  num_ceps: 13\n", "  num_ceps: 13\n  num_ceps: 20\n", 21, "num_ceps"),
+    ], ids=["block", "top-level", "in-block"])
+    def test_repeated_key_rejected_naming_line(self, tmp_path, old, new, line,
+                                               key):
+        path = tmp_path / "config.txt"
+        write_config(default_config("mfcc", with_delta=True, with_cmvn=True,
+                                    with_vtln=True), path)
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+        with pytest.raises(ValueError,
+                           match=f"line {line}: repeated key '{key}'"):
+            read_config(path)
+
 
 class TestExtractFeatures:
     def test_mfcc_plus_pitch_is_16_channels(self, corpus):
@@ -222,13 +240,16 @@ class TestExtractFeatures:
             assert feats.nchannels == 13
 
     def test_warp_search_features_equal_mfcc_at_every_warp(self, corpus):
-        extractor = _WarpedMfcc(16000, seed=7)
+        grid = warp_grid(VtlnOptions())
         for utt in corpus:
             audio = load_wav(utt.audio_path)
-            for warp in warp_grid(VtlnOptions()):
+            matrices = _warped_mfccs(utt, grid, MfccOptions(sample_rate=16000),
+                                     seed=7)
+            assert len(matrices) == len(grid)
+            for warp, matrix in zip(grid, matrices):
                 expected = mfcc(audio, MfccOptions(sample_rate=16000),
                                 vtln_warp=warp, seed=derive_seed(7, utt.name))
-                assert np.array_equal(extractor(utt, warp).data, expected.data)
+                assert np.array_equal(matrix, expected.data)
 
     def test_bad_njobs(self, corpus):
         with pytest.raises(ValueError):

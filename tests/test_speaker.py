@@ -165,12 +165,12 @@ class SyntheticExtractor:
         self.best_warps = best_warps
         self.spread = spread
 
-    def __call__(self, utt, warp):
+    def __call__(self, utt, warps):
         rng = np.random.default_rng(hash(utt.name) % 2 ** 32)
         base = rng.standard_normal((50, 2))
-        miss = warp - self.best_warps[utt.speaker]
-        scale = self.spread * (1.0 + 50.0 * miss ** 2)
-        return Features(scale * base, np.arange(50) * 0.01 + 0.005)
+        best = self.best_warps[utt.speaker]
+        return [self.spread * (1.0 + 50.0 * (warp - best) ** 2) * base
+                for warp in warps]
 
 
 def speakered_utterances(names_speakers):
@@ -246,13 +246,40 @@ class TestEstimateWarps:
         # constant features: every warp scores identically
         utts = speakered_utterances([("u1", "s1")])
 
-        def flat_extractor(utt, warp):
-            rng = np.random.default_rng(0)
-            return Features(rng.standard_normal((40, 2)),
-                            np.arange(40) * 0.01 + 0.005)
+        def flat_extractor(utt, warps):
+            return [np.random.default_rng(0).standard_normal((40, 2))] * len(warps)
 
         warps = estimate_warps(utts, flat_extractor, self.small_opts(), seed=0)
         assert warps["s1"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("num_iters", [1, 2, 5])
+    def test_one_grid_call_per_utterance_per_round(self, monkeypatch, num_iters):
+        from speechfeatures import speaker
+        utts = speakered_utterances(
+            [("u1", "s1"), ("u2", "s1"), ("u3", "s2"), ("u4", "s2")])
+        synthetic = SyntheticExtractor({"s1": 0.95, "s2": 1.05})
+        calls = {u.name: [] for u in utts}
+
+        def counting_extractor(utt, warps):
+            calls[utt.name].append(list(warps))
+            return synthetic(utt, warps)
+
+        rounds = []
+        real_train_ubm = speaker.train_ubm
+
+        def counting_train_ubm(*args, **kwargs):
+            rounds.append(1)
+            return real_train_ubm(*args, **kwargs)
+
+        monkeypatch.setattr(speaker, "train_ubm", counting_train_ubm)
+        opts = VtlnOptions(ubm=UbmOptions(num_gauss=2, num_iters=2,
+                                          num_iters_init=5), num_iters=num_iters)
+        estimate_warps(utts, counting_extractor, opts, seed=0)
+        # planted warps away from 1.0 change the map in round 1
+        assert min(num_iters, 2) <= len(rounds) <= num_iters
+        grid = warp_grid(opts).tolist()
+        for name, made in calls.items():
+            assert made == [[1.0]] + [grid] * len(rounds), name
 
     def test_requires_speakers(self):
         utts = Utterances([Utterance("u1", "u1.wav")])
