@@ -15,7 +15,6 @@ from speechfeatures import (Audio, FeaturesCollection, default_config,
                             extract_features, parse_utterances, read_config,
                             write_config, write_wav)
 
-workdir = Path(tempfile.mkdtemp(prefix="speechfeatures-demo-"))
 rate = 16000
 
 
@@ -31,40 +30,43 @@ def vowel(f0, formants, seed):
     return Audio(0.3 * signal / np.abs(signal).max(), rate)
 
 
-# step 1: define the utterances
-lines = []
-for i, (name, speaker, f0) in enumerate([("utterance1", "speaker1", 120),
-                                         ("utterance2", "speaker1", 135),
-                                         ("utterance3", "speaker2", 210)]):
-    path = workdir / f"{name}.wav"
-    write_wav(path, vowel(f0, [600 + 30 * i, 1400, 2600], seed=i))
-    lines.append(f"{name} {path} {speaker}")
-manifest = workdir / "utterances.txt"
-manifest.write_text("\n".join(lines) + "\n")
-print(f"manifest:\n{manifest.read_text()}")
+with tempfile.TemporaryDirectory(prefix="speechfeatures-demo-") as tmp:
+    workdir = Path(tmp)
 
-# step 2: generate a configuration (then edit the file at will)
-config = default_config("mfcc", with_pitch=True, with_cmvn=True, seed=42)
-config_path = workdir / "config.txt"
-write_config(config, config_path)
-print(f"configuration written to {config_path} "
-      f"({len(config_path.read_text().splitlines())} lines, human-editable)")
+    # step 1: define the utterances
+    lines = []
+    for i, (name, speaker, f0) in enumerate([("utterance1", "speaker1", 120),
+                                             ("utterance2", "speaker1", 135),
+                                             ("utterance3", "speaker2", 210)]):
+        path = workdir / f"{name}.wav"
+        write_wav(path, vowel(f0, [600 + 30 * i, 1400, 2600], seed=i))
+        lines.append(f"{name} {path} {speaker}")
+    manifest = workdir / "utterances.txt"
+    manifest.write_text("\n".join(lines) + "\n")
+    print(f"manifest:\n{manifest.read_text()}")
 
-# step 3: run the pipeline; results are identical for any njobs
-utterances = parse_utterances(manifest)
-collection = extract_features(read_config(config_path), utterances, njobs=2)
-for name, feats in collection.items():
-    print(f"  {name}: {feats.data.shape} "
-          f"(13 mfcc + 3 pitch, speaker-normalized)")
+    # step 2: generate a configuration (then edit the file at will)
+    config = default_config("mfcc", with_pitch=True, with_cmvn=True, seed=42)
+    config_path = workdir / "config.txt"
+    write_config(config, config_path)
+    print(f"configuration written to {config_path} "
+          f"({len(config_path.read_text().splitlines())} lines, human-editable)")
 
-# save both ways; binary is exact, csv is one file pair per utterance
-binary_path = workdir / "features.bin"
-collection.save(binary_path, format="binary")
-collection.save(workdir / "features_csv", format="csv")
-back = FeaturesCollection.load(binary_path, format="binary")
-print(f"binary round trip exact: {back == collection}")
+    # step 3: run the pipeline; results are identical for any njobs
+    utterances = parse_utterances(manifest)
+    collection = extract_features(read_config(config_path), utterances, njobs=2)
+    for name, feats in collection.items():
+        print(f"  {name}: {feats.data.shape} "
+              f"(13 mfcc + 3 pitch, speaker-normalized)")
 
-print("\nthe command line equivalent:")
-print(f"  speech-features config mfcc --pitch kaldi --cmvn -o {config_path}")
-print(f"  speech-features extract --njobs 2 {config_path} {manifest} "
-      f"{binary_path}")
+    # save both ways; binary is exact, csv is one file pair per utterance
+    binary_path = workdir / "features.bin"
+    collection.save(binary_path, format="binary")
+    collection.save(workdir / "features_csv", format="csv")
+    back = FeaturesCollection.load(binary_path, format="binary")
+    print(f"binary round trip exact: {back == collection}")
+
+    print("\nthe command line equivalent:")
+    print(f"  speech-features config mfcc --pitch kaldi --cmvn -o {config_path}")
+    print(f"  speech-features extract --njobs 2 {config_path} {manifest} "
+          f"{binary_path}")

@@ -30,11 +30,9 @@ for g in order:
           f"std {np.sqrt(ubm.variances[g, 0]):.3f}")
 print(f"log-likelihood of a point at the heavy mode: "
       f"{ubm.loglikes(np.array([3.0]))[0]:.3f}")
-print(f"EM improved over {sum(len(s) - 1 for s in ubm.history)} iterations, "
-      f"monotonically per segment")
+print(f"mean log-likelihood per sample: {ubm.loglikes(samples).mean():.3f}")
 
 # --- warp factor estimation ----------------------------------------------
-workdir = Path(tempfile.mkdtemp(prefix="speechfeatures-demo-"))
 rate = 16000
 VOWELS = [(730, 1090, 2440), (270, 2290, 3010), (300, 870, 2240)]
 
@@ -56,26 +54,28 @@ def vowel_sequence(f0, scale, seed):
     return Audio(np.concatenate(parts), rate)
 
 
-items = []
-for speaker, scale in (("deep", 1.0), ("bright", 1.1)):
-    for i in range(4):
-        name = f"{speaker}{i}"
-        path = workdir / f"{name}.wav"
-        write_wav(path, vowel_sequence(115 + 7 * i, scale, seed=i))
-        items.append(Utterance(name, str(path), speaker=speaker))
-corpus = Utterances(items)
+with tempfile.TemporaryDirectory(prefix="speechfeatures-demo-") as tmp:
+    workdir = Path(tmp)
+    items = []
+    for speaker, scale in (("deep", 1.0), ("bright", 1.1)):
+        for i in range(4):
+            name = f"{speaker}{i}"
+            path = workdir / f"{name}.wav"
+            write_wav(path, vowel_sequence(115 + 7 * i, scale, seed=i))
+            items.append(Utterance(name, str(path), speaker=speaker))
+    corpus = Utterances(items)
 
-# the search asks an extractor (utterance, warps) -> [one frame matrix per
-# warp] for each utterance's whole warp grid once per round, and keeps only
-# the frames at each speaker's selected warp between rounds; the pipeline's
-# extractor reads and frames the utterance once per call
-extractor = functools.partial(_warped_mfccs, opts=MfccOptions(sample_rate=rate),
-                              seed=0)
-warps = estimate_warps(corpus, extractor, VtlnOptions(), seed=0)
-print(f"\nestimated warps: {warps}")
-print("the 10% brighter speaker is pulled under 1.0: "
-      f"{warps['bright'] < 1.0 <= warps['deep']}")
+    # the search asks an extractor (utterance, warps) -> [one frame matrix per
+    # warp] for each utterance's whole warp grid once per round, and keeps only
+    # the frames at each speaker's selected warp between rounds; the pipeline's
+    # extractor reads and frames the utterance once per call
+    extractor = functools.partial(_warped_mfccs, opts=MfccOptions(sample_rate=rate),
+                                  seed=0)
+    warps = estimate_warps(corpus, extractor, VtlnOptions(), seed=0)
+    print(f"\nestimated warps: {warps}")
+    print("the 10% brighter speaker is pulled under 1.0: "
+          f"{warps['bright'] < 1.0 <= warps['deep']}")
 
-warps_path = workdir / "speakers.warp"
-save_warps(warps, warps_path)
-print(f"warp map stored as two-column text:\n{warps_path.read_text().strip()}")
+    warps_path = workdir / "speakers.warp"
+    save_warps(warps, warps_path)
+    print(f"warp map stored as two-column text:\n{warps_path.read_text().strip()}")

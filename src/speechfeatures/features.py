@@ -137,13 +137,14 @@ def concatenate(a, b):
 
 
 class FeaturesCollection(dict):
-    """A name -> Features map with save/load support."""
+    """A name -> Features map with save/load support.
 
-    def __init__(self, items=None):
-        super().__init__()
-        if items:
-            for name, feats in dict(items).items():
-                self[name] = feats
+    Every insertion (item assignment, construction, update, setdefault and
+    |=) goes through __setitem__, which checks the name and the value.
+    """
+
+    def __init__(self, items=(), /, **kwargs):
+        self.update(items, **kwargs)
 
     def __setitem__(self, name, feats):
         if not isinstance(name, str) or not name:
@@ -151,6 +152,19 @@ class FeaturesCollection(dict):
         if not isinstance(feats, Features):
             raise ValueError(f"{name}: value must be a Features")
         super().__setitem__(name, feats)
+
+    def update(self, items=(), /, **kwargs):
+        for name, feats in dict(items, **kwargs).items():
+            self[name] = feats
+
+    def setdefault(self, name, feats=None):
+        if name not in self:
+            self[name] = feats
+        return self[name]
+
+    def __ior__(self, items):
+        self.update(items)
+        return self
 
     def save(self, path, format="binary"):
         save_collection(self, path, format)

@@ -93,9 +93,6 @@ class DiagGmm:
         self.weights = weights
         self.means = means
         self.variances = variances
-        # per-iteration log-likelihood segments recorded by train_ubm;
-        # each segment is monotone non-decreasing (EM guarantee)
-        self.history = []
 
     @property
     def num_gauss(self):
@@ -126,13 +123,10 @@ class DiagGmm:
 
 
 def _em_step(gmm, data, min_weight, var_floor):
-    """One EM update; returns (new model, total log-likelihood before)."""
+    """One EM update of `gmm` on `data`; returns the new model."""
     comp = gmm.component_loglikes(data)
-    top = comp.max(axis=1, keepdims=True)
-    shifted = np.exp(comp - top)
-    norm = shifted.sum(axis=1, keepdims=True)
-    total_ll = float((top[:, 0] + np.log(norm[:, 0])).sum())
-    resp = shifted / norm
+    shifted = np.exp(comp - comp.max(axis=1, keepdims=True))
+    resp = shifted / shifted.sum(axis=1, keepdims=True)
 
     counts = resp.sum(axis=0)
     weights = counts / counts.sum()
@@ -149,7 +143,7 @@ def _em_step(gmm, data, min_weight, var_floor):
 
     new_weights = np.where(active, weights, gmm.weights)
     new_weights = new_weights / new_weights.sum()
-    return DiagGmm(new_weights, new_means, new_vars), total_ll
+    return DiagGmm(new_weights, new_means, new_vars)
 
 
 def _split_largest(gmm):
@@ -188,10 +182,6 @@ def train_ubm(source, opts=None, seed=0):
     full EM passes over all frames. Components whose weight falls under
     min_gaussian_weight are not updated, and are removed at the end iff
     remove_low_count_gaussians.
-
-    The returned model carries a `history` list of log-likelihood segments,
-    each one non-decreasing (segments are broken where splits change the
-    model structure).
     """
     opts = opts or UbmOptions()
     data = _as_matrix(source)
@@ -219,38 +209,21 @@ def train_ubm(source, opts=None, seed=0):
     variances = np.tile(np.maximum(global_var, var_floor), (g0, 1))
     gmm = DiagGmm(np.full(g0, 1.0 / g0), means, variances)
 
-    history = []
-    segment = []
     for i in range(opts.num_iters_init):
-        gmm, ll = _em_step(gmm, init_data, opts.min_gaussian_weight, var_floor)
-        segment.append(ll)
+        gmm = _em_step(gmm, init_data, opts.min_gaussian_weight, var_floor)
         # evenly spaced splits, rounding up so they finish with EM to spare
         target = g0 + int(np.ceil(
             (i + 1) * (opts.num_gauss - g0) / opts.num_iters_init))
-        if gmm.num_gauss < target:
-            segment.append(float(gmm.loglikes(init_data).sum()))
-            history.append(segment)
-            segment = []
-            while gmm.num_gauss < target:
-                gmm = _split_largest(gmm)
-    if segment:
-        segment.append(float(gmm.loglikes(init_data).sum()))
-        history.append(segment)
-
-    segment = []
+        while gmm.num_gauss < target:
+            gmm = _split_largest(gmm)
     for _ in range(opts.num_iters):
-        gmm, ll = _em_step(gmm, data, opts.min_gaussian_weight, var_floor)
-        segment.append(ll)
-    if segment:
-        segment.append(float(gmm.loglikes(data).sum()))
-        history.append(segment)
+        gmm = _em_step(gmm, data, opts.min_gaussian_weight, var_floor)
 
     if opts.remove_low_count_gaussians:
         keep = gmm.weights >= opts.min_gaussian_weight
         if not np.all(keep):
             gmm = DiagGmm(gmm.weights[keep] / gmm.weights[keep].sum(),
                           gmm.means[keep], gmm.variances[keep])
-    gmm.history = history
     return gmm
 
 
@@ -345,7 +318,10 @@ def save_warps(warps, path):
 
 
 def load_warps(path):
-    """Read a speaker -> warp map written by save_warps."""
+    """Read a speaker -> warp map written by save_warps.
+
+    Each speaker appears once, with a finite positive warp.
+    """
     warps = {}
     with open(path, "r", encoding="utf-8") as fp:
         for lineno, line in enumerate(fp, start=1):
@@ -353,10 +329,17 @@ def load_warps(path):
                 continue
             try:
                 speaker, value = line.split()
-                warps[speaker] = float(value)
+                warp = float(value)
             except ValueError as err:
                 raise ValueError(f"{path}: line {lineno}: expected "
                                  f"'<speaker> <warp>', got {line!r}") from err
+            if not 0.0 < warp < np.inf:
+                raise ValueError(f"{path}: line {lineno}: warp must be finite "
+                                 f"and positive, got {line!r}")
+            if speaker in warps:
+                raise ValueError(f"{path}: line {lineno}: repeated speaker "
+                                 f"{speaker!r} in {line!r}")
+            warps[speaker] = warp
     return warps
 
 

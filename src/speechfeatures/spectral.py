@@ -176,12 +176,14 @@ class MelBanks:
 
 
 @functools.lru_cache(maxsize=None)
-def compute_mel_banks(opts, nfft, vtln_warp=1.0):
-    """Mel filterbank for the given options, FFT size and frequency warp.
+def compute_mel_banks(opts, vtln_warp=1.0):
+    """Mel filterbank for the given options and frequency warp.
 
-    Banks are cached per (opts, nfft, vtln_warp); callers must not mutate
-    the result.
+    The FFT size is the one the front end uses, the power of two at or above
+    opts.window_size. Banks are cached per (opts, vtln_warp); callers must
+    not mutate the result.
     """
+    nfft = next_power_of_two(opts.window_size)
     mel_low = mel(opts.low_freq)
     mel_high = mel(opts.effective_high_freq)
     mel_delta = (mel_high - mel_low) / (opts.num_bins + 1)
@@ -261,7 +263,7 @@ def filterbank(audio, opts=None, vtln_warp=1.0, seed=0):
     """Mel filterbank features, optionally log-compressed, power or magnitude."""
     opts = opts or FilterbankOptions()
     power, energy, times = _frame_spectra(audio, opts, seed)
-    banks = compute_mel_banks(opts, next_power_of_two(opts.window_size), vtln_warp)
+    banks = compute_mel_banks(opts, vtln_warp)
     spectrum = power if opts.use_power else np.sqrt(power)
     mel_energies = banks.apply(spectrum)
     if opts.use_log_fbank:
@@ -306,7 +308,7 @@ def mfcc(audio, opts=None, vtln_warp=1.0, seed=0):
 
 def _mfcc_stage(power, energy, opts, vtln_warp):
     """mfcc()'s [m, num_ceps] matrix from _frame_spectra's power and energy."""
-    banks = compute_mel_banks(opts, next_power_of_two(opts.window_size), vtln_warp)
+    banks = compute_mel_banks(opts, vtln_warp)
     log_mel = np.log(np.maximum(banks.apply(power), TINY))
     ceps = log_mel @ dct_matrix(opts.num_ceps, opts.num_bins).T
     if opts.cepstral_lifter != 0:
@@ -411,7 +413,7 @@ def plp(audio, opts=None, vtln_warp=1.0, seed=0):
     """
     opts = opts or PlpOptions()
     power, energy, times = _frame_spectra(audio, opts, seed)
-    banks = compute_mel_banks(opts, next_power_of_two(opts.window_size), vtln_warp)
+    banks = compute_mel_banks(opts, vtln_warp)
     mel_energies = banks.apply(power)
 
     padded = np.hstack([mel_energies[:, :1], mel_energies, mel_energies[:, -1:]])

@@ -1,3 +1,5 @@
+import os
+import re
 import shutil
 import subprocess
 import sys
@@ -254,15 +256,22 @@ def test_module_entry_point(tmp_path):
     assert "num_bins: 23" in result.stdout
 
 
-def _declared_script_target(name):
-    """The `module:function` target of console script `name` in pyproject.toml."""
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _project_table():
+    """The [project] table of pyproject.toml."""
     if sys.version_info >= (3, 11):
         import tomllib
     else:
         tomllib = pytest.importorskip("tomli")
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    with open(pyproject, "rb") as stream:
-        return tomllib.load(stream)["project"]["scripts"][name]
+    with open(ROOT / "pyproject.toml", "rb") as stream:
+        return tomllib.load(stream)["project"]
+
+
+def _declared_script_target(name):
+    """The `module:function` target of console script `name` in pyproject.toml."""
+    return _project_table()["scripts"][name]
 
 
 def _assert_help(result):
@@ -289,3 +298,28 @@ def test_installed_console_script_help():
     result = subprocess.run(["speech-features", "--help"],
                             capture_output=True, text=True, timeout=60)
     _assert_help(result)
+
+
+def test_numpy_is_the_only_declared_dependency():
+    names = [re.split(r"[\s<>=!~;\[]", entry)[0]
+             for entry in _project_table()["dependencies"]]
+    assert names == ["numpy"]
+
+
+def test_import_loads_only_stdlib_and_numpy():
+    # a fresh interpreter without `site`, so that no .pth file preloads a
+    # module; numpy's directory stays on the path, so an import of anything
+    # installed next to numpy still loads it and shows here
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import speechfeatures, speechfeatures.cli\n"
+            "print(*{name.partition('.')[0]\n"
+            "        for name in set(sys.modules) - before})\n")
+    path = [str(ROOT / "src"), str(Path(np.__file__).parents[1])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert "speechfeatures" in loaded
+    assert loaded - set(sys.stdlib_module_names) <= {"numpy", "speechfeatures"}

@@ -17,9 +17,10 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    # demos keep their work files in a temporary directory; TMPDIR puts
-    # those under tmp_path
+    # demos keep their work files in a temporary directory and remove it;
+    # TMPDIR puts it under tmp_path, where nothing may be left behind
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert not list(tmp_path.glob("speechfeatures-demo-*"))

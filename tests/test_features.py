@@ -252,3 +252,30 @@ class TestCollection:
     def test_non_features_rejected(self):
         with pytest.raises(ValueError):
             FeaturesCollection({"a": np.zeros((2, 2))})
+
+    # every way a dict takes an item goes through the same name/value check
+    @pytest.mark.parametrize("insert, message", [
+        (lambda c: c.update({"a": 3}), "a: value must be a Features"),
+        (lambda c: c.update(b=None), "b: value must be a Features"),
+        (lambda c: c.update([("", random_features())]), "non-empty string"),
+        (lambda c: c.setdefault("", "x"), "non-empty string"),
+        (lambda c: c.setdefault("c"), "c: value must be a Features"),
+        (lambda c: c.__ior__({"d": None}), "d: value must be a Features"),
+        (lambda c: FeaturesCollection(e=np.zeros((2, 2))),
+         "e: value must be a Features"),
+    ], ids=["update", "update-keyword", "update-pairs", "setdefault-name",
+            "setdefault-value", "ior", "keyword-construction"])
+    def test_every_insertion_checked(self, insert, message):
+        coll = FeaturesCollection({"ok": random_features()})
+        with pytest.raises(ValueError, match=message):
+            insert(coll)
+        assert list(coll) == ["ok"]
+
+    def test_insertions_of_features_accepted(self):
+        feats = random_features()
+        coll = FeaturesCollection(a=feats)
+        coll.update({"b": feats}, c=feats)
+        assert coll.setdefault("a", random_features(seed=1)) is feats
+        coll |= {"d": feats}
+        assert isinstance(coll, FeaturesCollection)
+        assert list(coll) == ["a", "b", "c", "d"]

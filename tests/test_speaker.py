@@ -5,6 +5,7 @@ from speechfeatures import (DiagGmm, Features, FeaturesCollection, UbmOptions,
                             Utterance, Utterances, VtlnOptions, estimate_warps,
                             load_gmm, load_warps, save_gmm, save_warps,
                             train_ubm)
+from speechfeatures import speaker
 from speechfeatures.speaker import warp_grid
 
 
@@ -77,6 +78,21 @@ def two_cluster_data(n=10000, centers=(0.0, 5.0), scale=0.5, seed=0):
         centers[1] + scale * rng.standard_normal(n - half)])[:, None]
 
 
+def record_em_steps(monkeypatch):
+    """Wrap speaker._em_step; the list fills with one (total log-likelihood
+    before, after) pair per EM step, both on the data that step fits."""
+    steps = []
+    em_step = speaker._em_step
+
+    def recording(gmm, data, *args):
+        new = em_step(gmm, data, *args)
+        steps.append((gmm.loglikes(data).sum(), new.loglikes(data).sum()))
+        return new
+
+    monkeypatch.setattr(speaker, "_em_step", recording)
+    return steps
+
+
 class TestTrainUbm:
     def test_recovers_two_clusters(self):
         data = two_cluster_data()
@@ -85,14 +101,30 @@ class TestTrainUbm:
         assert abs(recovered[0] - 0.0) < 0.1
         assert abs(recovered[1] - 5.0) < 0.1
 
-    def test_loglike_history_monotone(self):
+    def test_loglike_history_monotone(self, monkeypatch):
         rng = np.random.default_rng(1)
         data = rng.standard_normal((2000, 4)) * [1.0, 2.0, 0.5, 1.5]
-        gmm = train_ubm(data, UbmOptions(num_gauss=8), seed=3)
-        assert gmm.history
-        for segment in gmm.history:
-            for before, after in zip(segment, segment[1:]):
-                assert after >= before - 1e-8 * abs(before)
+        opts = UbmOptions(num_gauss=8)
+        steps = record_em_steps(monkeypatch)
+        train_ubm(data, opts, seed=3)
+        assert len(steps) == opts.num_iters_init + opts.num_iters
+        for before, after in steps:
+            assert after >= before - 1e-8 * abs(before)
+
+    def test_one_likelihood_pass_per_em_step(self, monkeypatch):
+        calls = []
+        component_loglikes = DiagGmm.component_loglikes
+
+        def counting(gmm, frames):
+            calls.append(len(frames))
+            return component_loglikes(gmm, frames)
+
+        monkeypatch.setattr(DiagGmm, "component_loglikes", counting)
+        rng = np.random.default_rng(4)
+        opts = UbmOptions()
+        gmm = train_ubm(rng.standard_normal((1062, 13)), opts, seed=0)
+        assert len(calls) == opts.num_iters_init + opts.num_iters
+        assert not hasattr(gmm, "history")
 
     def test_deterministic_given_seed(self):
         data = two_cluster_data(2000)
@@ -320,7 +352,9 @@ class TestSerialization:
         text = path.read_text()
         assert "alice 0.97" in text
 
-    @pytest.mark.parametrize("line", ["carol", "carol 0.9 1.1", "carol x"])
+    @pytest.mark.parametrize("line", [
+        "carol", "carol 0.9 1.1", "carol x", "alice 1.1", "carol nan",
+        "carol inf", "carol 0.0", "carol -0.9"])
     def test_bad_warps_line_names_file_and_line(self, tmp_path, line):
         path = tmp_path / "warps.txt"
         path.write_text(f"alice 0.97\n\n{line}\n")

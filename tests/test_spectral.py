@@ -95,34 +95,34 @@ class TestVtlnWarp:
 class TestMelBanks:
     def test_centers_equally_spaced_in_mel(self):
         opts = MelOptions()
-        banks = compute_mel_banks(opts, 512)
+        banks = compute_mel_banks(opts)
         gaps = np.diff(mel(banks.center_freqs))
         assert np.allclose(gaps, gaps[0], atol=1e-9)
 
     def test_weights_bounded_and_positive_sum(self):
-        banks = compute_mel_banks(MelOptions(), 512)
+        banks = compute_mel_banks(MelOptions())
         assert banks.matrix.shape == (23, 257)
         for weights in banks.matrix:
             assert np.all(weights >= 0) and np.all(weights <= 1)
             assert weights.sum() > 0
 
     def test_weights_unimodal(self):
-        banks = compute_mel_banks(MelOptions(), 512)
+        banks = compute_mel_banks(MelOptions())
         for weights in banks.matrix:
             peak = int(np.argmax(weights))
             assert np.all(np.diff(weights[:peak + 1]) >= 0)
             assert np.all(np.diff(weights[peak:]) <= 0)
 
     def test_warp_moves_centers_up(self):
-        plain = compute_mel_banks(MelOptions(), 512, 1.0)
-        warped = compute_mel_banks(MelOptions(), 512, 0.9)
+        plain = compute_mel_banks(MelOptions(), 1.0)
+        warped = compute_mel_banks(MelOptions(), 0.9)
         # in the linear-scaling region centers move to f / 0.9 > f
         middle = slice(3, 18)
         assert np.all(warped.center_freqs[middle] >= plain.center_freqs[middle])
 
     def test_cache_returns_same_object(self):
-        a = compute_mel_banks(MelOptions(), 512, 1.0)
-        b = compute_mel_banks(MelOptions(), 512, 1.0)
+        a = compute_mel_banks(MelOptions(), 1.0)
+        b = compute_mel_banks(MelOptions(), 1.0)
         assert a is b
 
     def test_high_freq_relative_to_nyquist(self):
@@ -182,7 +182,7 @@ class TestFilterbank:
     def test_tone_lands_in_nearest_mel_bin(self, freq):
         opts = FilterbankOptions(dither=0.0)
         feats = filterbank(make_tone(freq), opts)
-        banks = compute_mel_banks(opts, 512)
+        banks = compute_mel_banks(opts)
         hottest = np.argmax(feats.data, axis=1)
         nearest = int(np.argmin(np.abs(banks.center_freqs - freq)))
         assert np.all(np.abs(hottest - nearest) <= 1)
