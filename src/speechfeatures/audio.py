@@ -153,6 +153,12 @@ def sinc_resample(x, rate_in, rate_out, cutoff=None, zeros=64):
     low-passed at `cutoff` Hz (defaults to the smaller Nyquist frequency).
     Samples beyond the signal edges are taken as zero. Output length is
     round(n * rate_out / rate_in).
+
+    Output sample i sits at input position i * rate_in / rate_out; its
+    fractional part (the phase) alone sets the kernel weights, so each tap's
+    kernel is evaluated once per distinct phase and gathered for every
+    output sample, as in Kaldi's LinearResample. Taps are accumulated one at
+    a time in a fixed order.
     """
     x = np.asarray(x, dtype=np.float64)
     if cutoff is None:
@@ -167,16 +173,16 @@ def sinc_resample(x, rate_in, rate_out, cutoff=None, zeros=64):
     hw = int(math.ceil(half))
     pos = np.arange(n_out) * (rate_in / rate_out)
     base = np.floor(pos).astype(np.int64)
-    frac = pos - base
+    phases, phase_of = np.unique(pos - base, return_inverse=True)
     xp = np.pad(x, hw + 2)
     out = np.zeros(n_out)
     for d in range(-hw, hw + 2):
-        u = frac - d  # kernel argument: output position minus tap index
+        u = phases - d  # kernel argument: output position minus tap index
         k = np.zeros_like(u)
         m = np.abs(u) <= half
         um = u[m]
         k[m] = 2.0 * fc * np.sinc(2.0 * fc * um) * (0.5 + 0.5 * np.cos(np.pi * um / half))
-        out += xp[base + d + hw + 2] * k
+        out += xp[base + d + hw + 2] * k[phase_of]
     return out
 
 

@@ -78,6 +78,85 @@ def _cosine_cost(a, b):
     return cost
 
 
+def _check_pair(a, b):
+    """Raise ValueError unless frame matrices a and b can be aligned."""
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(
+            f"channel counts differ: {a.shape[1]} versus {b.shape[1]}")
+    if a.shape[0] == 0 or b.shape[0] == 0:
+        raise ValueError("dtw needs non-empty sequences")
+
+
+# padded (pairs, rows, cols) cells of one DTW sweep, about 32 pairs of 28x28
+# frames: bounds the working set whatever the number of pairs
+_DTW_CHUNK_CELLS = 32 * 28 * 28
+
+
+def _dtw_sweep(costs):
+    """DTW divergence of each cost matrix, all swept together.
+
+    The matrices are zero-padded to a common (rows, cols) and filled one
+    anti-diagonal at a time; a cell's predecessors lie in its own pair's
+    range, so padding never feeds back. Each cell extends the diagonal, up
+    or left predecessor with the lexicographically least (total cost,
+    steps). Border cells are running sums.
+    """
+    n = len(costs)
+    rows = np.array([c.shape[0] for c in costs])
+    cols = np.array([c.shape[1] for c in costs])
+    height, width = int(rows.max()), int(cols.max())
+    cost = np.zeros((n, height, width))
+    for p, c in enumerate(costs):
+        cost[p, :c.shape[0], :c.shape[1]] = c
+    total = np.empty_like(cost)
+    steps = np.empty((n, height, width), dtype=np.int64)
+    total[:, 0, :] = np.cumsum(cost[:, 0, :], axis=1)
+    total[:, :, 0] = np.cumsum(cost[:, :, 0], axis=1)
+    steps[:, 0, :] = np.arange(1, width + 1)
+    steps[:, :, 0] = np.arange(1, height + 1)
+    cost = cost.reshape(n, -1)
+    total = total.reshape(n, -1)
+    steps = steps.reshape(n, -1)
+    for s in range(2, height + width - 1):
+        i = np.arange(max(1, s - width + 1), min(height - 1, s - 1) + 1)
+        cell = i * width + (s - i)
+        best = total[:, cell - width - 1]
+        best_steps = steps[:, cell - width - 1]
+        for pred in (cell - width, cell - 1):  # up, then left
+            other = total[:, pred]
+            other_steps = steps[:, pred]
+            better = (other < best) | ((other == best) & (other_steps < best_steps))
+            best = np.where(better, other, best)
+            best_steps = np.where(better, other_steps, best_steps)
+        total[:, cell] = best + cost[:, cell]
+        steps[:, cell] = best_steps + 1
+    last = (rows - 1) * width + cols - 1
+    index = np.arange(n)
+    return total[index, last] / steps[index, last]
+
+
+def _dtw_many(pairs):
+    """DTW divergence of each (a, b) pair of frame matrices, in order.
+
+    Pairs are sorted by shape, so that little padding is swept, and taken
+    in chunks of at most _DTW_CHUNK_CELLS padded cells (a pair larger than
+    that is a chunk of its own); cost matrices exist for one chunk at a time.
+    """
+    shapes = [(a.shape[0], b.shape[0]) for a, b in pairs]
+    chunks, height, width = [[]], 0, 0
+    for p in sorted(range(len(pairs)), key=shapes.__getitem__):
+        rows, cols = shapes[p]
+        height, width = max(height, rows), max(width, cols)
+        if chunks[-1] and (len(chunks[-1]) + 1) * height * width > _DTW_CHUNK_CELLS:
+            chunks.append([])
+            height, width = rows, cols
+        chunks[-1].append(p)
+    out = np.empty(len(pairs))
+    for chunk in chunks:
+        out[chunk] = _dtw_sweep([_cosine_cost(*pairs[p]) for p in chunk])
+    return out
+
+
 def dtw_cosine(a, b):
     """DTW divergence between two frame sequences, cosine frame distance.
 
@@ -88,40 +167,8 @@ def dtw_cosine(a, b):
     """
     a = _frames(a)
     b = _frames(b)
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(
-            f"channel counts differ: {a.shape[1]} versus {b.shape[1]}")
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise ValueError("dtw needs non-empty sequences")
-    cost = _cosine_cost(a, b)
-    rows, cols = cost.shape
-    total = np.empty((rows, cols))
-    steps = np.empty((rows, cols), dtype=np.int64)
-    total[0, 0] = cost[0, 0]
-    steps[0, 0] = 1
-    for j in range(1, cols):
-        total[0, j] = total[0, j - 1] + cost[0, j]
-        steps[0, j] = j + 1
-    for i in range(1, rows):
-        total[i, 0] = total[i - 1, 0] + cost[i, 0]
-        steps[i, 0] = i + 1
-        row_total = total[i]
-        prev_total = total[i - 1]
-        for j in range(1, cols):
-            diag = prev_total[j - 1]
-            up = prev_total[j]
-            left = row_total[j - 1]
-            best = diag
-            best_steps = steps[i - 1, j - 1]
-            if up < best or (up == best and steps[i - 1, j] < best_steps):
-                best = up
-                best_steps = steps[i - 1, j]
-            if left < best or (left == best and steps[i, j - 1] < best_steps):
-                best = left
-                best_steps = steps[i, j - 1]
-            row_total[j] = best + cost[i, j]
-            steps[i, j] = best_steps + 1
-    return float(total[-1, -1] / steps[-1, -1])
+    _check_pair(a, b)
+    return float(_dtw_sweep([_cosine_cost(a, b)])[0])
 
 
 @dataclass
@@ -138,14 +185,35 @@ class AbxTriplet:
 
 
 def abx_score(triplets):
-    """ABX error rate in percent over a list of AbxTriplet; ties count 0.5."""
+    """ABX error rate in percent over a list of AbxTriplet; ties count 0.5.
+
+    Each distinct (a, x) and (b, x) pair, by object identity, is aligned
+    once, so repeated items cost nothing. The pairs are swept together in
+    chunks of about 32 pairs of 28x28 frames, so besides one divergence per
+    pair the working set is bounded by the chunk (or by the largest single
+    pair), whatever the number of triplets.
+    """
     triplets = list(triplets)
     if not triplets:
         raise ValueError("abx_score needs at least one triplet")
+    frames = {}
+    pair_index = {}
+    pairs = []
+    for triplet in triplets:
+        for obj in (triplet.a, triplet.b, triplet.x):
+            if id(obj) not in frames:
+                frames[id(obj)] = _frames(obj)
+        for key in ((id(triplet.a), id(triplet.x)), (id(triplet.b), id(triplet.x))):
+            if key not in pair_index:
+                pair = (frames[key[0]], frames[key[1]])
+                _check_pair(*pair)
+                pair_index[key] = len(pairs)
+                pairs.append(pair)
+    divergence = _dtw_many(pairs)
     errors = 0.0
     for triplet in triplets:
-        d_ax = dtw_cosine(triplet.a, triplet.x)
-        d_bx = dtw_cosine(triplet.b, triplet.x)
+        d_ax = divergence[pair_index[(id(triplet.a), id(triplet.x))]]
+        d_bx = divergence[pair_index[(id(triplet.b), id(triplet.x))]]
         if d_ax > d_bx:
             errors += 1.0
         elif d_ax == d_bx:

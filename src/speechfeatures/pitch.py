@@ -145,6 +145,29 @@ def _frame_nccf(signal, frame_starts, window_size, int_lags, ballast):
     return normalize(0.0), normalize(ballast)
 
 
+def _viterbi(local, transition):
+    """Least-cost state path for [frames, states] local costs.
+
+    `transition` must be exactly symmetric: row j then holds the costs of
+    reaching state j from every state, so each state's best predecessor is
+    found along a contiguous row. Ties go to the lowest state index.
+    """
+    m, n = local.shape
+    states = np.arange(n)
+    back = np.zeros((m, n), dtype=np.int64)
+    forward = local[0]
+    for f in range(1, m):
+        total = transition + forward[None, :]
+        back[f] = np.argmin(total, axis=1)
+        forward = local[f] + total[states, back[f]]
+
+    path = np.empty(m, dtype=np.int64)
+    path[-1] = int(np.argmin(forward))
+    for f in range(m - 1, 0, -1):
+        path[f - 1] = back[f, path[f]]
+    return path
+
+
 def estimate_pitch(audio, opts=None, framing=None):
     """Track pitch over an Audio, one estimate per frame.
 
@@ -195,18 +218,7 @@ def estimate_pitch(audio, opts=None, framing=None):
     local = 1.0 - ballasted_grid * (1.0 - opts.soft_min_f0 * lags[None, :])
     log_lags = np.log(lags)
     transition = opts.penalty_factor * (log_lags[None, :] - log_lags[:, None]) ** 2
-
-    back = np.zeros((m, len(lags)), dtype=np.int64)
-    forward = local[0]
-    for f in range(1, m):
-        total = forward[:, None] + transition
-        back[f] = np.argmin(total, axis=0)
-        forward = local[f] + np.min(total, axis=0)
-
-    path = np.empty(m, dtype=np.int64)
-    path[-1] = int(np.argmin(forward))
-    for f in range(m - 1, 0, -1):
-        path[f - 1] = back[f, path[f]]
+    path = _viterbi(local, transition)
 
     rows = np.arange(m)
     nccf = np.clip(plain_grid[rows, path], -1.0, 1.0)

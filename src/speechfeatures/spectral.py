@@ -9,6 +9,7 @@ the mel filter edges (vtln_warp); the spectrogram ignores warping.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -125,6 +126,11 @@ class PlpOptions(MelOptions):
                 f"and lpc_order {self.lpc_order}")
 
 
+def _check_warp(warp):
+    if not (math.isfinite(warp) and warp > 0):
+        raise ValueError(f"vtln warp must be finite and positive, got {warp}")
+
+
 def vtln_warp_freq(freq, warp, low_freq, high_freq, vtln_low, vtln_high):
     """Piecewise-linear frequency warp used for speaker normalization.
 
@@ -132,8 +138,10 @@ def vtln_warp_freq(freq, warp, low_freq, high_freq, vtln_low, vtln_high):
     l = vtln_low * max(1, warp) and h = vtln_high * min(1, warp); the outer
     segments are linear and keep low_freq and high_freq fixed, so the warp
     is continuous and strictly increasing on [low_freq, high_freq].
-    Frequencies outside that range pass through unchanged.
+    Frequencies outside that range pass through unchanged. Raises
+    ValueError unless warp is finite and positive.
     """
+    _check_warp(warp)
     low = vtln_low * max(1.0, warp)
     high = vtln_high * min(1.0, warp)
     if low >= high:
@@ -181,8 +189,10 @@ def compute_mel_banks(opts, vtln_warp=1.0):
 
     The FFT size is the one the front end uses, the power of two at or above
     opts.window_size. Banks are cached per (opts, vtln_warp); callers must
-    not mutate the result.
+    not mutate the result. Raises ValueError unless vtln_warp is finite and
+    positive.
     """
+    _check_warp(vtln_warp)
     nfft = next_power_of_two(opts.window_size)
     mel_low = mel(opts.low_freq)
     mel_high = mel(opts.effective_high_freq)

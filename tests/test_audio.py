@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -152,6 +153,56 @@ class TestResample:
         audio = make_tone(3000, duration=0.5, rate=16000)
         filtered = sinc_resample(audio.samples, 16000, 16000, cutoff=1000)
         assert np.abs(filtered[600:-600]).max() < 1e-6 * np.abs(audio.samples).max()
+
+
+def tap_loop_resample(x, rate_in, rate_out, cutoff=None, zeros=64):
+    """Reference resampler: the kernel evaluated for every tap and sample."""
+    x = np.asarray(x, dtype=np.float64)
+    if cutoff is None:
+        cutoff = 0.5 * min(rate_in, rate_out)
+    n_out = int(round(x.shape[0] * rate_out / rate_in))
+    if n_out == 0:
+        return np.zeros(0)
+    fc = cutoff / rate_in
+    half = zeros / (2.0 * fc)
+    hw = int(math.ceil(half))
+    pos = np.arange(n_out) * (rate_in / rate_out)
+    base = np.floor(pos).astype(np.int64)
+    frac = pos - base
+    xp = np.pad(x, hw + 2)
+    out = np.zeros(n_out)
+    for d in range(-hw, hw + 2):
+        u = frac - d
+        k = np.zeros_like(u)
+        m = np.abs(u) <= half
+        um = u[m]
+        k[m] = 2.0 * fc * np.sinc(2.0 * fc * um) * (0.5 + 0.5 * np.cos(np.pi * um / half))
+        out += xp[base + d + hw + 2] * k
+    return out
+
+
+class TestSincResampleExact:
+    """The per-phase kernel equals the per-sample tap loop bit for bit."""
+
+    @pytest.mark.parametrize("rate_in, rate_out, kwargs", [
+        (22050, 16000, {}),
+        (16000, 4000, {"cutoff": 1000, "zeros": 9}),
+        (16000, 16001, {}),
+        (8000, 16000, {}),
+        (44100, 16000, {}),
+        (16000, 16000, {"cutoff": 1000}),
+    ])
+    def test_matches_tap_loop(self, rate_in, rate_out, kwargs):
+        x = np.random.default_rng(rate_in + rate_out).standard_normal(rate_in // 5)
+        out = sinc_resample(x, rate_in, rate_out, **kwargs)
+        assert np.array_equal(out, tap_loop_resample(x, rate_in, rate_out, **kwargs))
+
+    @pytest.mark.parametrize("nsamples, expected", [(1, 0), (2, 1), (3, 1)])
+    def test_tiny_inputs(self, nsamples, expected):
+        x = np.arange(1.0, nsamples + 1.0)
+        out = sinc_resample(x, 44100, 16000)
+        assert out.shape == (expected,)
+        assert np.array_equal(out, tap_loop_resample(x, 44100, 16000))
 
 
 class TestSegment:

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from speechfeatures import (AbxTriplet, Features, FeaturesCollection,
                             PitchEval, abx_score, dtw_cosine, ger,
                             load_triplets, mae)
+from speechfeatures.evaluate import _cosine_cost, _dtw_many
 
 
 class TestMae:
@@ -150,6 +153,114 @@ class TestAbx:
         with pytest.raises(ValueError, match="channel"):
             AbxTriplet(feats(np.ones((2, 2))), feats(np.ones((2, 3))),
                        feats(np.ones((2, 2))))
+
+
+def pairwise_dtw(a, b):
+    """Reference DTW: one pair, cell by cell, diagonal then up then left."""
+    a = np.atleast_2d(np.asarray(getattr(a, "data", a), dtype=np.float64))
+    b = np.atleast_2d(np.asarray(getattr(b, "data", b), dtype=np.float64))
+    cost = _cosine_cost(a, b)
+    rows, cols = cost.shape
+    total = np.empty((rows, cols))
+    steps = np.empty((rows, cols), dtype=np.int64)
+    total[0, 0] = cost[0, 0]
+    steps[0, 0] = 1
+    for j in range(1, cols):
+        total[0, j] = total[0, j - 1] + cost[0, j]
+        steps[0, j] = j + 1
+    for i in range(1, rows):
+        total[i, 0] = total[i - 1, 0] + cost[i, 0]
+        steps[i, 0] = i + 1
+        for j in range(1, cols):
+            best = total[i - 1, j - 1]
+            best_steps = steps[i - 1, j - 1]
+            for pi, pj in ((i - 1, j), (i, j - 1)):
+                if total[pi, pj] < best or (total[pi, pj] == best
+                                            and steps[pi, pj] < best_steps):
+                    best = total[pi, pj]
+                    best_steps = steps[pi, pj]
+            total[i, j] = best + cost[i, j]
+            steps[i, j] = best_steps + 1
+    return float(total[-1, -1] / steps[-1, -1])
+
+
+def pairwise_abx(triplets):
+    errors = 0.0
+    for t in triplets:
+        d_ax, d_bx = pairwise_dtw(t.a, t.x), pairwise_dtw(t.b, t.x)
+        errors += 1.0 if d_ax > d_bx else 0.5 if d_ax == d_bx else 0.0
+    return 100.0 * errors / len(triplets)
+
+
+def tie_prone(rng, rows, channels=2):
+    """Frames drawn from a few small integer vectors, zero frames included."""
+    choices = np.array([[0, 0], [1, 0], [0, 1], [1, 1], [2, 0]], dtype=np.float64)
+    frames = choices[rng.integers(0, len(choices), rows)]
+    return np.tile(frames, (1, channels // 2))
+
+
+class TestDtwExact:
+    """The batched anti-diagonal sweep equals the per-pair loop bit for bit."""
+
+    def check(self, pairs):
+        batched = _dtw_many([(np.atleast_2d(a), np.atleast_2d(b)) for a, b in pairs])
+        for (a, b), value in zip(pairs, batched):
+            reference = pairwise_dtw(a, b)
+            assert value == reference
+            assert dtw_cosine(a, b) == reference
+
+    def test_ties_and_zero_frames(self):
+        rng = np.random.default_rng(0)
+        seqs = [tie_prone(rng, n) for n in (1, 2, 3, 5, 8, 13, 21)]
+        self.check([(a, b) for a in seqs for b in seqs])
+
+    def test_all_zero_and_constant(self):
+        zero, one = np.zeros((4, 3)), np.ones((6, 3))
+        self.check([(zero, zero), (zero, one), (one, zero), (one, one)])
+
+    def test_single_frame_sequences(self):
+        rng = np.random.default_rng(1)
+        row = rng.standard_normal((1, 4))
+        seqs = [rng.standard_normal((n, 4)) for n in (1, 7, 30)]
+        self.check([(row, s) for s in seqs] + [(s, row) for s in seqs])
+
+    def test_mixed_shapes_in_one_chunk(self):
+        rng = np.random.default_rng(2)
+        pairs = [(rng.standard_normal((rng.integers(1, 12), 3)),
+                  rng.standard_normal((rng.integers(1, 12), 3))) for _ in range(20)]
+        self.check(pairs)
+
+    def test_more_pairs_than_one_chunk(self):
+        rng = np.random.default_rng(3)
+        pairs = [(rng.standard_normal((rng.integers(20, 34), 5)),
+                  rng.standard_normal((rng.integers(20, 34), 5))) for _ in range(80)]
+        self.check(pairs)
+
+    def test_abx_with_repeated_pairs(self):
+        rng = np.random.default_rng(4)
+        items = [feats(tie_prone(rng, int(n), 4)) for n in rng.integers(1, 30, 12)]
+        items += [feats(rng.standard_normal((int(n), 4)))
+                  for n in rng.integers(1, 30, 12)]
+        triplets = [AbxTriplet(*(items[i] for i in rng.integers(0, len(items), 3)))
+                    for _ in range(150)]
+        triplets += triplets[:40]
+        assert abx_score(triplets) == pairwise_abx(triplets)
+
+    def test_abx_working_set_bounded(self):
+        # 2000 distinct 30-frame (item, x) pairs; one padded sweep of them
+        # all would take over 40 MB
+        rng = np.random.default_rng(5)
+        xs = [feats(rng.standard_normal((30, 13))) for _ in range(40)]
+        others = [feats(rng.standard_normal((30, 13))) for _ in range(50)]
+        triplets = [AbxTriplet(others[2 * k], others[2 * k + 1], x)
+                    for x in xs for k in range(25)]
+        tracemalloc.start()
+        try:
+            abx_score(triplets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 class TestLoadTriplets:

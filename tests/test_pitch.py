@@ -4,6 +4,7 @@ import pytest
 from speechfeatures import (Audio, FrameOptions, PitchOptions,
                             PostPitchOptions, estimate_pitch, nccf_to_pov,
                             num_frames, postprocess_pitch)
+from speechfeatures import pitch
 
 from conftest import assert_valid_features, make_noise, make_tone
 
@@ -104,6 +105,57 @@ class TestEstimatePitch:
         a = estimate_pitch(audio)
         b = estimate_pitch(audio)
         assert np.array_equal(a.data, b.data)
+
+
+def columnwise_viterbi(local, transition):
+    """Reference Viterbi: each state's best predecessor down a column."""
+    m, n = local.shape
+    back = np.zeros((m, n), dtype=np.int64)
+    forward = local[0]
+    for f in range(1, m):
+        total = forward[:, None] + transition
+        back[f] = np.argmin(total, axis=0)
+        forward = local[f] + np.min(total, axis=0)
+    path = np.empty(m, dtype=np.int64)
+    path[-1] = int(np.argmin(forward))
+    for f in range(m - 1, 0, -1):
+        path[f - 1] = back[f, path[f]]
+    return path
+
+
+class TestViterbiExact:
+    """The row-wise Viterbi picks the column-wise path, ties included."""
+
+    @pytest.mark.parametrize("audio", [
+        make_tone(220, duration=1.0),
+        Audio(make_tone(180, duration=1.0).samples
+              + make_noise(duration=1.0, amplitude=0.3, seed=3).samples, 16000),
+        Audio(np.full(8000, 0.25), 16000),
+        Audio(np.zeros(8000), 16000),
+    ], ids=["clean", "noisy", "constant", "silent"])
+    def test_estimate_pitch_path(self, audio, monkeypatch):
+        calls = []
+        viterbi = pitch._viterbi
+
+        def recording(local, transition):
+            path = viterbi(local, transition)
+            calls.append((local, transition, path))
+            return path
+
+        monkeypatch.setattr(pitch, "_viterbi", recording)
+        estimate_pitch(audio)
+        (local, transition, path), = calls
+        assert np.array_equal(transition, transition.T)
+        assert np.array_equal(path, columnwise_viterbi(local, transition))
+
+    def test_integer_costs_with_many_ties(self):
+        rng = np.random.default_rng(0)
+        states = np.arange(12)
+        transition = np.abs(states[:, None] - states[None, :]).astype(np.float64)
+        for _ in range(20):
+            local = rng.integers(0, 3, (15, 12)).astype(np.float64)
+            assert np.array_equal(pitch._viterbi(local, transition),
+                                  columnwise_viterbi(local, transition))
 
 
 class TestNccfToPov:

@@ -91,8 +91,20 @@ class TestVtlnWarp:
         with pytest.raises(ValueError):
             vtln_warp_freq(500.0, 1.0, 20.0, 8000.0, 7000.0, 7000.0)
 
+    @pytest.mark.parametrize("warp", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_warp_rejected_naming_it(self, warp):
+        with pytest.raises(ValueError, match=f"finite and positive, got {warp}"):
+            self.warp(1000.0, warp)
+
 
 class TestMelBanks:
+    @pytest.mark.parametrize("warp", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_warp_rejected_naming_it(self, warp):
+        cached = compute_mel_banks.cache_info().currsize
+        with pytest.raises(ValueError, match=f"finite and positive, got {warp}"):
+            compute_mel_banks(MelOptions(), warp)
+        assert compute_mel_banks.cache_info().currsize == cached
+
     def test_centers_equally_spaced_in_mel(self):
         opts = MelOptions()
         banks = compute_mel_banks(opts)
