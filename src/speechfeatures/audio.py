@@ -146,6 +146,18 @@ def write_wav(path, audio):
         fp.write(header + payload)
 
 
+def windowed_sinc(u, fc, half):
+    """Hann-windowed sinc at float offsets `u` (samples), zero where |u| > half.
+
+    `fc` is the low-pass cutoff in cycles per sample.
+    """
+    k = np.zeros_like(u)
+    inside = np.abs(u) <= half
+    ui = u[inside]
+    k[inside] = 2.0 * fc * np.sinc(2.0 * fc * ui) * (0.5 + 0.5 * np.cos(np.pi * ui / half))
+    return k
+
+
 def sinc_resample(x, rate_in, rate_out, cutoff=None, zeros=64):
     """Windowed-sinc resampling of a raw sample vector.
 
@@ -177,11 +189,7 @@ def sinc_resample(x, rate_in, rate_out, cutoff=None, zeros=64):
     xp = np.pad(x, hw + 2)
     out = np.zeros(n_out)
     for d in range(-hw, hw + 2):
-        u = phases - d  # kernel argument: output position minus tap index
-        k = np.zeros_like(u)
-        m = np.abs(u) <= half
-        um = u[m]
-        k[m] = 2.0 * fc * np.sinc(2.0 * fc * um) * (0.5 + 0.5 * np.cos(np.pi * um / half))
+        k = windowed_sinc(phases - d, fc, half)  # output position minus tap
         out += xp[base + d + hw + 2] * k[phase_of]
     return out
 
@@ -189,13 +197,13 @@ def sinc_resample(x, rate_in, rate_out, cutoff=None, zeros=64):
 def resample(audio, target_rate):
     """Band-limited resampling of an Audio to `target_rate` Hz.
 
-    No-op when the rates already match. Output length is
+    Returns `audio` itself when the rates already match. Output length is
     round(n * target / source).
     """
     if target_rate <= 0:
         raise ValueError(f"target rate must be positive, got {target_rate}")
     if target_rate == audio.sample_rate:
-        return Audio(audio.samples, audio.sample_rate)
+        return audio
     return Audio(sinc_resample(audio.samples, audio.sample_rate, target_rate),
                  int(target_rate))
 

@@ -24,6 +24,7 @@ Binary container layout, little-endian throughout:
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 
@@ -48,11 +49,14 @@ class FeaturesFormatError(ValueError):
 
 
 def _valid_properties(node):
+    """Does standard JSON hold `node` exactly? Lists, not tuples; finite floats."""
     if isinstance(node, dict):
         return all(isinstance(k, str) and _valid_properties(v) for k, v in node.items())
-    if isinstance(node, (list, tuple)):
+    if isinstance(node, list):
         return all(_valid_properties(v) for v in node)
-    return isinstance(node, (str, bool, int, float)) or node is None
+    if isinstance(node, float):
+        return math.isfinite(node)
+    return isinstance(node, (str, bool, int)) or node is None
 
 
 class Features:
@@ -80,7 +84,8 @@ class Features:
             raise ValueError("each [onset, offset] row needs onset < offset")
         properties = {} if properties is None else properties
         if not _valid_properties(properties):
-            raise ValueError("properties must be a string-keyed tree of scalars")
+            raise ValueError("properties must be a string-keyed tree of lists "
+                             "and scalars, with finite floats")
         data = data.copy()
         times = times.copy()
         data.flags.writeable = False

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["FrameOptions", "num_frames", "window_function", "extract_frames",
-           "frame_times"]
+           "frame_times", "check_sample_rate"]
 
 WINDOW_TYPES = ("hamming", "hanning", "povey", "rectangular", "blackman")
 
@@ -63,6 +63,14 @@ class FrameOptions:
     def window_shift(self):
         """Frame shift in samples."""
         return int(round(self.frame_shift * self.sample_rate))
+
+
+def check_sample_rate(audio, opts):
+    """Raise ValueError unless an Audio is at the sample rate of `opts`."""
+    if audio.sample_rate != opts.sample_rate:
+        raise ValueError(
+            f"audio at {audio.sample_rate} Hz but options expect "
+            f"{opts.sample_rate} Hz; resample first")
 
 
 def num_frames(num_samples, opts):
@@ -138,10 +146,7 @@ def extract_frames(audio, opts, seed=0):
     With dither > 0 the noise is Gaussian from a generator seeded with
     `seed`; with dither == 0 the output does not depend on the seed.
     """
-    if audio.sample_rate != opts.sample_rate:
-        raise ValueError(
-            f"audio at {audio.sample_rate} Hz but options expect "
-            f"{opts.sample_rate} Hz; resample first")
+    check_sample_rate(audio, opts)
     m = num_frames(audio.nsamples, opts)
     size = opts.window_size
     if m == 0:

@@ -15,6 +15,7 @@ import concurrent.futures
 import dataclasses
 import functools
 import hashlib
+import sys
 import typing
 from dataclasses import dataclass, asdict
 
@@ -89,7 +90,7 @@ class PipelineConfig:
         if self.vtln is not None and self.features == "spectrogram":
             raise ValueError("warp normalization is not available for spectrogram")
         if self.pitch is not None:
-            self.pitch.frame_options(self.options)
+            self.pitch.check_framing(self.options)
 
 
 def default_config(features, with_pitch=False, with_delta=False,
@@ -119,14 +120,17 @@ def config_to_dict(config):
 def _typed(key, kind, value):
     """`value` as held by a field `key` annotated `kind`, or ValueError.
 
-    An int passes for a float; an options class is built from a block.
+    An int passes for a float, and a float must be finite; an options class
+    is built from a block.
     """
     if dataclasses.is_dataclass(kind):
         try:
             return _options_from_block(kind, value)
         except (TypeError, ValueError) as err:
             raise ValueError(f"{key}: {err}") from err
-    if kind is float and type(value) is int:
+    if kind is float and type(value) in (int, float):
+        if not abs(value) <= sys.float_info.max:  # NaN, infinite or huge int
+            raise ValueError(f"{key}: expected a finite float, got {value!r}")
         return float(value)
     if type(value) is not kind:
         raise ValueError(f"{key}: expected {kind.__name__}, got {value!r}")
@@ -260,20 +264,27 @@ def _load_utterance_audio(utt, sample_rate):
     audio = load_wav(utt.audio_path)
     if utt.onset is not None:
         audio = segment(audio, utt.onset, utt.offset)
-    if audio.sample_rate != sample_rate:
-        audio = resample(audio, sample_rate)
-    return audio
+    return resample(audio, sample_rate)
+
+
+def _failure(err):
+    """How an utterance that failed is reported: `<Type>: <message>`."""
+    return f"{type(err).__name__}: {err}"
 
 
 def _warped_mfccs(utt, warps, opts, seed):
     """The warp search's extractor: one MFCC matrix of `utt` per warp.
 
     The audio is read and framed once, with dither seeded per utterance, so
-    each matrix equals mfcc(...).data at its warp.
+    each matrix equals mfcc(...).data at its warp. A failure is raised as
+    an ExtractionError naming the utterance.
     """
-    audio = _load_utterance_audio(utt, opts.sample_rate)
-    power, energy, _ = _frame_spectra(audio, opts, derive_seed(seed, utt.name))
-    return [_mfcc_stage(power, energy, opts, warp) for warp in warps]
+    try:
+        audio = _load_utterance_audio(utt, opts.sample_rate)
+        power, energy, _ = _frame_spectra(audio, opts, derive_seed(seed, utt.name))
+        return [_mfcc_stage(power, energy, opts, warp) for warp in warps]
+    except Exception as err:  # reported like a failed extraction
+        raise ExtractionError({utt.name: _failure(err)}) from err
 
 
 def _extract_one(config, utt, warp):
@@ -307,7 +318,7 @@ def _extract_task(args):
     try:
         return utt.name, _extract_one(config, utt, warp), None
     except Exception as err:  # reported per utterance by extract_features
-        return utt.name, None, f"{type(err).__name__}: {err}"
+        return utt.name, None, _failure(err)
 
 
 def extract_features(config, utterances, njobs=1):

@@ -21,9 +21,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .audio import sinc_resample
+from .audio import sinc_resample, windowed_sinc
 from .features import Features
-from .framing import FrameOptions, frame_times, num_frames
+from .framing import FrameOptions, check_sample_rate, frame_times, num_frames
 from .postproc import delta_filter
 
 __all__ = ["PitchOptions", "PostPitchOptions", "estimate_pitch",
@@ -60,21 +60,14 @@ class PitchOptions:
         if self.delta_pitch <= 0:
             raise ValueError(f"delta_pitch must be > 0, got {self.delta_pitch}")
 
-    def frame_options(self, framing):
-        """Pitch's undithered framing, with the frames of FrameOptions `framing`.
-
-        Raises ValueError unless `framing` snips edges and its frames span
-        the longest lag, 1/min_f0.
-        """
+    def check_framing(self, framing):
+        """Raise ValueError unless `framing` snips edges and spans 1/min_f0."""
         if not framing.snip_edges:
             raise ValueError("pitch needs snip_edges: true")
         if 1.0 / self.min_f0 > framing.frame_length:
             raise ValueError(
                 f"min_f0 {self.min_f0} Hz implies lags beyond the "
                 f"{framing.frame_length} s frame length")
-        return FrameOptions(
-            sample_rate=framing.sample_rate, frame_shift=framing.frame_shift,
-            frame_length=framing.frame_length, dither=0.0, snip_edges=True)
 
 
 @dataclass(frozen=True)
@@ -106,12 +99,8 @@ def _lag_grid(opts):
 
 def _interpolation_matrix(grid_samples, int_lags):
     """Windowed-sinc weights mapping integer-lag NCCF onto the lag grid."""
-    delta = grid_samples[:, None] - int_lags[None, :]
-    inside = np.abs(delta) <= _INTERP_WIDTH
-    weights = np.where(
-        inside,
-        np.sinc(delta) * (0.5 + 0.5 * np.cos(np.pi * delta / _INTERP_WIDTH)),
-        0.0)
+    weights = windowed_sinc(grid_samples[:, None] - int_lags[None, :],
+                            0.5, _INTERP_WIDTH)
     return weights / weights.sum(axis=1, keepdims=True)
 
 
@@ -177,12 +166,10 @@ def estimate_pitch(audio, opts=None, framing=None):
     default FrameOptions()).
     """
     opts = opts or PitchOptions()
-    frame_opts = opts.frame_options(framing or FrameOptions())
-    if audio.sample_rate != frame_opts.sample_rate:
-        raise ValueError(
-            f"audio at {audio.sample_rate} Hz but options expect "
-            f"{frame_opts.sample_rate} Hz; resample first")
-    m = num_frames(audio.nsamples, frame_opts)
+    framing = framing or FrameOptions()
+    opts.check_framing(framing)
+    check_sample_rate(audio, framing)
+    m = num_frames(audio.nsamples, framing)
     if m == 0:
         raise ValueError(
             f"audio too short for pitch tracking: {audio.nsamples} samples")
@@ -194,8 +181,8 @@ def estimate_pitch(audio, opts=None, framing=None):
     signal = sinc_resample(audio.samples, audio.sample_rate, opts.resample_freq,
                            cutoff=opts.lowpass_cutoff, zeros=zeros)
 
-    window_size = int(round(frame_opts.frame_length * opts.resample_freq))
-    shift = int(round(frame_opts.frame_shift * opts.resample_freq))
+    window_size = int(round(framing.frame_length * opts.resample_freq))
+    shift = int(round(framing.frame_shift * opts.resample_freq))
     frame_starts = np.arange(m) * shift
 
     lags = _lag_grid(opts)
@@ -224,10 +211,10 @@ def estimate_pitch(audio, opts=None, framing=None):
     nccf = np.clip(plain_grid[rows, path], -1.0, 1.0)
     f0 = 1.0 / lags[path]
     data = np.column_stack([nccf, f0])
-    params = {"sample_rate": frame_opts.sample_rate,
-              "frame_shift": frame_opts.frame_shift,
-              "frame_length": frame_opts.frame_length, **asdict(opts)}
-    return Features(data, frame_times(m, frame_opts),
+    params = {"sample_rate": framing.sample_rate,
+              "frame_shift": framing.frame_shift,
+              "frame_length": framing.frame_length, **asdict(opts)}
+    return Features(data, frame_times(m, framing),
                     {"processor": "pitch", "pitch": params})
 
 

@@ -116,8 +116,7 @@ def dominant_frequency(audio):
 class TestResample:
     def test_identity(self):
         audio = make_tone(440)
-        out = resample(audio, 16000)
-        assert np.array_equal(out.samples, audio.samples)
+        assert resample(audio, 16000) is audio
 
     def test_downsample_keeps_tone(self):
         audio = make_tone(440, duration=1.0, rate=48000)

@@ -199,6 +199,28 @@ class TestExtractCommand:
         assert err.startswith(f"speech-features: error: {config}: ")
         assert key in err
 
+    @pytest.mark.parametrize("old, new, where", [
+        ("dither: 0.1", "dither: nan", "mfcc: dither"),
+        ("nccf_ballast: 7000.0", "nccf_ballast: nan", "pitch: nccf_ballast"),
+        ("energy_floor: 0.0", "energy_floor: nan", "mfcc: energy_floor"),
+        ("frame_length: 0.025", "frame_length: inf", "mfcc: frame_length"),
+        ("frame_length: 0.025", "frame_length: 1" + "0" * 400,
+         "mfcc: frame_length"),
+    ], ids=["nan-dither", "nan-ballast", "nan-energy-floor", "inf-length",
+            "int-beyond-float"])
+    def test_non_finite_value_fails_naming_file_block_and_key(
+            self, tmp_path, small_corpus, capsys, old, new, where):
+        config = tmp_path / "config.txt"
+        main(["config", "mfcc", "--pitch", "kaldi", "--delta", "--cmvn",
+              "-o", str(config)])
+        config.write_text(config.read_text().replace(old, new, 1))
+        assert main(["extract", str(config), str(small_corpus),
+                     str(tmp_path / "out.bin")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"speech-features: error: {config}: {where}: "
+                              "expected a finite float")
+        assert not (tmp_path / "out.bin").exists()
+
     def test_pitch_follows_the_feature_framing(self, tmp_path, small_corpus):
         config = tmp_path / "config.txt"
         output = tmp_path / "features.bin"

@@ -54,6 +54,15 @@ class TestInvariants:
         with pytest.raises(ValueError):
             Features(np.zeros((1, 1)), np.array([0.0]), {"x": object()})
 
+    @pytest.mark.parametrize("properties", [
+        {"a": (1, 2)}, {"b": float("nan")}, {"c": float("inf")},
+        {"d": [1, {"e": -float("inf")}]},
+    ], ids=["tuple", "nan", "inf", "nested-minus-inf"])
+    def test_properties_json_would_not_give_back_rejected(self, properties):
+        # a tuple loads back as a list; NaN and Infinity are not JSON
+        with pytest.raises(ValueError, match="properties"):
+            Features(np.zeros((1, 1)), np.array([0.0]), properties)
+
 
 class TestConcatenate:
     def test_mfcc_plus_pitch_shape(self):
@@ -121,17 +130,14 @@ class TestCsvFormat:
         coll.save(tmp_path / "out", format="csv")
         back = FeaturesCollection.load(tmp_path / "out", format="csv")
         assert set(back) == {"utt1", "utt2"}
-        for name in coll:
-            assert np.allclose(back[name].data, coll[name].data, atol=1e-12, rtol=0)
-            assert np.allclose(back[name].times, coll[name].times, atol=1e-12, rtol=0)
-            assert back[name].properties == coll[name].properties
+        assert back == coll
 
     def test_interval_times_round_trip(self, tmp_path):
         coll = sample_collection(times_cols=2)
         coll.save(tmp_path / "out", format="csv")
         back = FeaturesCollection.load(tmp_path / "out", format="csv")
         assert back["utt1"].times.shape == (20, 2)
-        assert np.allclose(back["utt1"].data, coll["utt1"].data, atol=1e-12)
+        assert back == coll
 
     def test_time_column_count_round_trips(self, tmp_path):
         # the first data column is times + 1: it behaves like an offset

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from speechfeatures import (ExtractionError, PipelineConfig, Utterance,
+from speechfeatures import (Audio, ExtractionError, PipelineConfig, Utterance,
                             Utterances, VtlnOptions, default_config,
                             extract_features, load_wav, mfcc, read_config,
                             write_config, write_wav)
@@ -222,6 +222,18 @@ class TestExtractFeatures:
         config = default_config("mfcc")
         with pytest.raises(ExtractionError, match="bad"):
             extract_features(config, broken)
+
+    def test_warp_search_failure_names_utterance(self, corpus, tmp_path):
+        path = tmp_path / "short.wav"
+        write_wav(path, Audio(np.zeros(100), 16000))
+        with_short = Utterances(list(corpus) + [
+            Utterance("short", str(path), speaker="spk2")])
+        expected = {"short": "ValueError: audio too short: 100 samples "
+                             "yield no frame"}
+        for config in default_config("mfcc"), small_vtln_config():
+            with pytest.raises(ExtractionError) as info:
+                extract_features(config, with_short)
+            assert info.value.failures == expected
 
     def test_segment_bounds_respected(self, corpus, tmp_path):
         first = corpus.items[0]

@@ -83,6 +83,23 @@ class TestEstimatePitch:
         assert np.array_equal(raw.times, mfcc(audio, opts).times)
         assert raw.properties["pitch"]["frame_shift"] == 0.02
 
+    def test_the_caller_framing_is_used_as_is(self, monkeypatch):
+        from speechfeatures import MfccOptions
+        framing = MfccOptions()
+        built = []
+        check = FrameOptions.__post_init__
+
+        def counting(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(FrameOptions, "__post_init__", counting)
+        raw = estimate_pitch(make_tone(220), framing=framing)
+        assert built == []
+        assert {key: raw.properties["pitch"][key] for key in
+                ("sample_rate", "frame_shift", "frame_length")} == {
+            "sample_rate": 16000, "frame_shift": 0.01, "frame_length": 0.025}
+
     @pytest.mark.parametrize("kwargs, message", [
         ({"frame_shift": 0.03}, "frame_shift <= frame_length"),
         ({"frame_shift": 0.0}, "frame_shift <= frame_length"),
@@ -156,6 +173,40 @@ class TestViterbiExact:
             local = rng.integers(0, 3, (15, 12)).astype(np.float64)
             assert np.array_equal(pitch._viterbi(local, transition),
                                   columnwise_viterbi(local, transition))
+
+
+def full_grid_interpolation_matrix(grid_samples, int_lags, width):
+    """Reference lag interpolation: the kernel over the whole grid x lags."""
+    delta = grid_samples[:, None] - int_lags[None, :]
+    weights = np.where(
+        np.abs(delta) <= width,
+        np.sinc(delta) * (0.5 + 0.5 * np.cos(np.pi * delta / width)),
+        0.0)
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+class TestInterpolationExact:
+    """The lag interpolation takes the resampler's kernel, bit for bit."""
+
+    @pytest.mark.parametrize("opts", [
+        PitchOptions(),
+        PitchOptions(min_f0=60.0, max_f0=500.0, delta_pitch=0.01),
+        PitchOptions(lowpass_cutoff=2000.0, resample_freq=8000.0),
+    ], ids=["default", "narrow", "8k"])
+    def test_matches_full_grid_formula(self, opts, monkeypatch):
+        calls = []
+        interpolation = pitch._interpolation_matrix
+
+        def recording(grid_samples, int_lags):
+            weights = interpolation(grid_samples, int_lags)
+            calls.append((grid_samples, int_lags, weights))
+            return weights
+
+        monkeypatch.setattr(pitch, "_interpolation_matrix", recording)
+        estimate_pitch(make_tone(220, duration=0.2), opts)
+        (grid_samples, int_lags, weights), = calls
+        assert np.array_equal(weights, full_grid_interpolation_matrix(
+            grid_samples, int_lags, pitch._INTERP_WIDTH))
 
 
 class TestNccfToPov:
