@@ -7,11 +7,13 @@ PCM integer 8/16/32 bit or 32 bit float, single channel).
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Audio", "Utterance", "Utterances",
@@ -158,21 +160,56 @@ def windowed_sinc(u, fc, half):
     return k
 
 
+def _whole_hz(rate, name):
+    """`rate` as an int, or ValueError unless it is a positive whole number."""
+    if not (rate > 0 and float(rate).is_integer()):
+        raise ValueError(f"{name} must be a positive whole number of Hz, got {rate!r}")
+    return int(rate)
+
+
+@functools.lru_cache(maxsize=8)
+def _phase_table(rate_in, rate_out, cutoff, zeros, rows):
+    """Base offsets and kernel weights of the first `rows` output phases.
+
+    With g = gcd(rate_in, rate_out), p = rate_out // g and q = rate_in // g,
+    output sample j + m * p sits at input position base[j] + m * q plus the
+    exact phase ((j * q) % p) / p, so p phases cover every output. Row j of
+    the read-only [rows, taps] table holds windowed_sinc at that phase minus
+    each tap offset -hw .. hw + 1.
+    """
+    g = math.gcd(rate_in, rate_out)
+    p, q = rate_out // g, rate_in // g
+    fc = cutoff / rate_in  # cycles per input sample, <= 0.5
+    half = zeros / (2.0 * fc)  # kernel half-width in input samples
+    hw = int(math.ceil(half))
+    j = np.arange(rows)
+    base = j * q // p
+    phases = (j * q % p) / p
+    table = windowed_sinc(phases[:, None] - np.arange(-hw, hw + 2), fc, half)
+    base.flags.writeable = False
+    table.flags.writeable = False
+    return base, table
+
+
 def sinc_resample(x, rate_in, rate_out, cutoff=None, zeros=64):
-    """Windowed-sinc resampling of a raw sample vector.
+    """Windowed-sinc resampling of a raw sample vector, as Kaldi's LinearResample.
 
     The kernel is a Hann-windowed sinc with `zeros` zero crossings per side,
     low-passed at `cutoff` Hz (defaults to the smaller Nyquist frequency).
     Samples beyond the signal edges are taken as zero. Output length is
-    round(n * rate_out / rate_in).
+    round(n * rate_out / rate_in). Both rates must be whole numbers of Hz.
 
-    Output sample i sits at input position i * rate_in / rate_out; its
-    fractional part (the phase) alone sets the kernel weights, so each tap's
-    kernel is evaluated once per distinct phase and gathered for every
-    output sample, as in Kaldi's LinearResample. Taps are accumulated one at
-    a time in a fixed order.
+    The output phases are exact: with g = gcd(rate_in, rate_out) there are
+    rate_out // g of them, and each rate pair's weight table is computed
+    once and cached (see _phase_table). Each phase is then one matrix
+    product of its strided input windows with its table row. Integer ratios
+    give the same bits as evaluating the kernel tap by tap per output
+    sample; other ratios differ from that float-positioned sum by at most
+    1e-12 of the largest output magnitude.
     """
     x = np.asarray(x, dtype=np.float64)
+    rate_in = _whole_hz(rate_in, "rate_in")
+    rate_out = _whole_hz(rate_out, "rate_out")
     if cutoff is None:
         cutoff = 0.5 * min(rate_in, rate_out)
     if rate_in == rate_out and cutoff >= 0.5 * rate_in:
@@ -180,17 +217,16 @@ def sinc_resample(x, rate_in, rate_out, cutoff=None, zeros=64):
     n_out = int(round(x.shape[0] * rate_out / rate_in))
     if n_out == 0:
         return np.zeros(0)
-    fc = cutoff / rate_in  # cycles per input sample, <= 0.5
-    half = zeros / (2.0 * fc)  # kernel half-width in input samples
-    hw = int(math.ceil(half))
-    pos = np.arange(n_out) * (rate_in / rate_out)
-    base = np.floor(pos).astype(np.int64)
-    phases, phase_of = np.unique(pos - base, return_inverse=True)
-    xp = np.pad(x, hw + 2)
-    out = np.zeros(n_out)
-    for d in range(-hw, hw + 2):
-        k = windowed_sinc(phases - d, fc, half)  # output position minus tap
-        out += xp[base + d + hw + 2] * k[phase_of]
+    g = math.gcd(rate_in, rate_out)
+    p, q = rate_out // g, rate_in // g
+    base, table = _phase_table(rate_in, rate_out, cutoff, zeros, min(p, n_out))
+    taps = table.shape[1]
+    # hw + 2 zeros per side: output windows start at base + 2 in the padding
+    windows = sliding_window_view(np.pad(x, taps // 2 + 1), taps)
+    out = np.empty(n_out)
+    for j, start in enumerate(base):
+        count = len(range(j, n_out, p))
+        out[j::p] = windows[start + 2::q][:count] @ table[j]
     return out
 
 
@@ -198,14 +234,13 @@ def resample(audio, target_rate):
     """Band-limited resampling of an Audio to `target_rate` Hz.
 
     Returns `audio` itself when the rates already match. Output length is
-    round(n * target / source).
+    round(n * target / source). The target must be a whole number of Hz.
     """
-    if target_rate <= 0:
-        raise ValueError(f"target rate must be positive, got {target_rate}")
+    target_rate = _whole_hz(target_rate, "target rate")
     if target_rate == audio.sample_rate:
         return audio
     return Audio(sinc_resample(audio.samples, audio.sample_rate, target_rate),
-                 int(target_rate))
+                 target_rate)
 
 
 def segment(audio, onset, offset):

@@ -23,7 +23,7 @@ from .audio import Utterances, load_wav, resample, segment
 from .features import FeaturesCollection, concatenate
 from .pitch import PitchOptions, PostPitchOptions, estimate_pitch, postprocess_pitch
 from .postproc import CmvnOptions, DeltaOptions, cmvn_apply, delta
-from .speaker import VtlnOptions, estimate_warps
+from .speaker import ExtractionError, VtlnOptions, estimate_warps
 from .spectral import (FilterbankOptions, MfccOptions, PlpOptions,
                        SpectrogramOptions, _frame_spectra, _mfcc_stage,
                        filterbank, mfcc, plp, spectrogram)
@@ -56,16 +56,6 @@ def _options_class(features):
         raise ValueError(f"unknown features {features!r}, expected one of "
                          f"{', '.join(FEATURE_OPTIONS)}")
     return FEATURE_OPTIONS[features]
-
-
-class ExtractionError(RuntimeError):
-    """Raised when utterances fail to process; carries per-utterance detail."""
-
-    def __init__(self, failures):
-        self.failures = dict(failures)
-        lines = [f"{name}: {message}" for name, message in self.failures.items()]
-        super().__init__("extraction failed for {} utterance(s):\n  {}".format(
-            len(lines), "\n  ".join(lines)))
 
 
 @dataclass(frozen=True)

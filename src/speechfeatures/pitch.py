@@ -57,6 +57,9 @@ class PitchOptions:
             raise ValueError(
                 f"need max_f0 < lowpass_cutoff <= resample_freq/2, got "
                 f"{self.max_f0}, {self.lowpass_cutoff}, {self.resample_freq}")
+        if not float(self.resample_freq).is_integer():
+            raise ValueError(f"resample_freq must be a whole number of Hz, "
+                             f"got {self.resample_freq}")
         if self.delta_pitch <= 0:
             raise ValueError(f"delta_pitch must be > 0, got {self.delta_pitch}")
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from .features import Features, FeaturesCollection
 
-__all__ = ["DiagGmm", "UbmOptions", "VtlnOptions", "train_ubm",
-           "estimate_warps", "warp_grid", "select_warp", "save_warps",
+__all__ = ["DiagGmm", "ExtractionError", "UbmOptions", "VtlnOptions",
+           "train_ubm", "estimate_warps", "warp_grid", "select_warp", "save_warps",
            "load_warps", "save_gmm", "load_gmm"]
 
 NORM_TYPES = ("offset", "none", "diag")
@@ -25,6 +25,16 @@ NORM_TYPES = ("offset", "none", "diag")
 # per-dimension variance floor, as a fraction of the global variance
 VAR_FLOOR_FRACTION = 1e-3
 ABSOLUTE_VAR_FLOOR = 1e-10
+
+
+class ExtractionError(RuntimeError):
+    """Raised when utterances fail to process; carries per-utterance detail."""
+
+    def __init__(self, failures):
+        self.failures = dict(failures)
+        lines = [f"{name}: {message}" for name, message in self.failures.items()]
+        super().__init__("extraction failed for {} utterance(s):\n  {}".format(
+            len(lines), "\n  ".join(lines)))
 
 
 @dataclass(frozen=True)
@@ -258,6 +268,11 @@ def estimate_warps(utterances, extractor, opts=None, seed=0):
     rounds stop early once the warp assignment is stable.
     Ties prefer the warp closest to 1.0, then the smaller warp.
 
+    The extractor reports a failed utterance by raising ExtractionError. The
+    first pass, at warp 1.0, visits every utterance in manifest order and
+    raises one ExtractionError naming all that failed, before any UBM is
+    trained.
+
     With norm_type "offset" the speaker's feature mean is replaced by the
     corpus mean before scoring; "diag" also rescales per-channel standard
     deviations and adds logdet_scale times the log sigma-ratio per frame;
@@ -273,8 +288,16 @@ def estimate_warps(utterances, extractor, opts=None, seed=0):
         speaker: sorted(utts, key=lambda u: u.name)
         for speaker, utts in sorted(utterances.by_speaker().items())}
 
+    unwarped, failures = {}, {}
+    for u in utterances:
+        try:
+            unwarped[u.name] = extractor(u, [1.0])[0]
+        except ExtractionError as err:
+            failures.update(err.failures)
+    if failures:
+        raise ExtractionError(failures)
     warps = {speaker: 1.0 for speaker in by_speaker}
-    selected = {speaker: np.vstack([extractor(u, [1.0])[0] for u in utts])
+    selected = {speaker: np.vstack([unwarped.pop(u.name) for u in utts])
                 for speaker, utts in by_speaker.items()}
     for _ in range(opts.num_iters):
         train_data = np.vstack(list(selected.values()))

@@ -7,7 +7,8 @@ import pytest
 from speechfeatures import (Audio, Utterance, Utterances, WavChannelError,
                             WavEncodingError, WavFormatError, load_wav,
                             parse_utterances, resample, segment, write_wav)
-from speechfeatures.audio import sinc_resample
+from speechfeatures import audio as audio_module
+from speechfeatures.audio import _phase_table, sinc_resample, windowed_sinc
 
 from conftest import make_tone
 
@@ -180,21 +181,49 @@ def tap_loop_resample(x, rate_in, rate_out, cutoff=None, zeros=64):
     return out
 
 
-class TestSincResampleExact:
-    """The per-phase kernel equals the per-sample tap loop bit for bit."""
+def int16_noise(nsamples, seed):
+    """Uniform noise on the int16 sample scale, as integer-valued floats."""
+    rng = np.random.default_rng(seed)
+    return np.round(rng.uniform(-32768, 32767, nsamples))
 
-    @pytest.mark.parametrize("rate_in, rate_out, kwargs", [
+
+class TestSincResampleExact:
+    """The cached per-phase tables against the per-sample tap loop.
+
+    Integer ratios have the same phases in both and agree bit for bit. At
+    other ratios the tap loop rounds its float positions while the tables
+    take the exact gcd phases, so the two agree to a stated tolerance of
+    1e-12 of the largest output magnitude.
+    """
+
+    CASES = [
         (22050, 16000, {}),
         (16000, 4000, {"cutoff": 1000, "zeros": 9}),
         (16000, 16001, {}),
         (8000, 16000, {}),
         (44100, 16000, {}),
         (16000, 16000, {"cutoff": 1000}),
-    ])
+    ]
+
+    @pytest.mark.parametrize("rate_in, rate_out, kwargs", CASES)
     def test_matches_tap_loop(self, rate_in, rate_out, kwargs):
         x = np.random.default_rng(rate_in + rate_out).standard_normal(rate_in // 5)
+        self.assert_matches(x, rate_in, rate_out, kwargs)
+
+    @pytest.mark.parametrize("rate_in, rate_out, kwargs", CASES)
+    def test_matches_tap_loop_on_int16_scale(self, rate_in, rate_out, kwargs):
+        x = int16_noise(rate_in // 5, rate_in + rate_out)
+        self.assert_matches(x, rate_in, rate_out, kwargs)
+
+    @staticmethod
+    def assert_matches(x, rate_in, rate_out, kwargs):
         out = sinc_resample(x, rate_in, rate_out, **kwargs)
-        assert np.array_equal(out, tap_loop_resample(x, rate_in, rate_out, **kwargs))
+        old = tap_loop_resample(x, rate_in, rate_out, **kwargs)
+        if max(rate_in, rate_out) % min(rate_in, rate_out) == 0:
+            assert np.array_equal(out, old)
+        else:
+            assert out.shape == old.shape
+            assert np.abs(out - old).max() <= 1e-12 * np.abs(old).max()
 
     @pytest.mark.parametrize("nsamples, expected", [(1, 0), (2, 1), (3, 1)])
     def test_tiny_inputs(self, nsamples, expected):
@@ -202,6 +231,67 @@ class TestSincResampleExact:
         out = sinc_resample(x, 44100, 16000)
         assert out.shape == (expected,)
         assert np.array_equal(out, tap_loop_resample(x, 44100, 16000))
+
+
+class TestPhaseTable:
+    @pytest.mark.parametrize("rate_in, rate_out, cutoff, zeros", [
+        (22050, 16000, 8000.0, 64),
+        (16000, 4000, 1000, 9),
+        (8000, 16000, 4000.0, 64)])
+    def test_rows_are_the_kernel_at_exact_phases(self, rate_in, rate_out,
+                                                 cutoff, zeros):
+        g = math.gcd(rate_in, rate_out)
+        p, q = rate_out // g, rate_in // g
+        base, table = _phase_table(rate_in, rate_out, cutoff, zeros, p)
+        fc = cutoff / rate_in
+        half = zeros / (2.0 * fc)
+        hw = math.ceil(half)
+        assert table.shape == (p, 2 * hw + 2)
+        for j in range(p):
+            assert base[j] == (j * q) // p
+            offsets = ((j * q) % p) / p - np.arange(-hw, hw + 2)
+            assert np.array_equal(table[j], windowed_sinc(offsets, fc, half))
+
+    def test_second_call_hits_the_cache(self):
+        x = int16_noise(2205, 5)
+        sinc_resample(x, 22050, 16000)
+        hits = _phase_table.cache_info().hits
+        sinc_resample(x[::-1], 22050, 16000)
+        assert _phase_table.cache_info().hits == hits + 1
+
+    def test_table_is_read_only(self):
+        base, table = _phase_table(22050, 16000, 8000.0, 64, 320)
+        for array in base, table:
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_short_call_builds_no_more_rows_than_outputs(self, monkeypatch):
+        # 16000 -> 16001 has 16001 phases; 0.2 s needs only 3200 of them
+        evaluated = []
+
+        def recording(u, fc, half):
+            evaluated.append(u.shape)
+            return windowed_sinc(u, fc, half)
+
+        monkeypatch.setattr(audio_module, "windowed_sinc", recording)
+        _phase_table.cache_clear()
+        out = sinc_resample(int16_noise(3200, 6), 16000, 16001)
+        assert out.shape == (3200,)
+        assert [shape[0] for shape in evaluated] == [3200]
+
+
+class TestWholeRates:
+    def test_resample_rejects_fractional_target(self):
+        with pytest.raises(ValueError, match="8000.5"):
+            resample(make_tone(440), 8000.5)
+
+    @pytest.mark.parametrize("rate_in, rate_out, message", [
+        (16000.5, 8000, "rate_in .* 16000.5"),
+        (16000, 8000.25, "rate_out .* 8000.25")])
+    def test_sinc_resample_rejects_fractional_rate(self, rate_in, rate_out,
+                                                   message):
+        with pytest.raises(ValueError, match=message):
+            sinc_resample(np.zeros(100), rate_in, rate_out)
 
 
 class TestSegment:

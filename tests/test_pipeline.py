@@ -168,6 +168,18 @@ class TestConfigFile:
                            match=f"line {line}: repeated key '{key}'"):
             read_config(path)
 
+    def test_fractional_resample_freq_names_file_block_and_key(self, tmp_path):
+        path = tmp_path / "config.txt"
+        write_config(default_config("mfcc", with_pitch=True), path)
+        text = path.read_text()
+        assert text.count("resample_freq: 4000.0") == 1
+        path.write_text(text.replace("resample_freq: 4000.0",
+                                     "resample_freq: 4000.5"))
+        with pytest.raises(ValueError) as info:
+            read_config(path)
+        assert str(info.value).startswith(f"{path}: pitch: resample_freq ")
+        assert "4000.5" in str(info.value)
+
 
 class TestExtractFeatures:
     def test_mfcc_plus_pitch_is_16_channels(self, corpus):
@@ -234,6 +246,21 @@ class TestExtractFeatures:
             with pytest.raises(ExtractionError) as info:
                 extract_features(config, with_short)
             assert info.value.failures == expected
+
+    def test_warp_search_names_every_failure(self, corpus, tmp_path):
+        short = []
+        for name in "shortA", "shortB":
+            write_wav(tmp_path / f"{name}.wav", Audio(np.zeros(100), 16000))
+            short.append(Utterance(name, str(tmp_path / f"{name}.wav"),
+                                   speaker="spk2"))
+        with_short = Utterances(list(corpus) + short)
+        failures = []
+        for config in default_config("mfcc"), small_vtln_config():
+            with pytest.raises(ExtractionError) as info:
+                extract_features(config, with_short)
+            failures.append(info.value.failures)
+        assert list(failures[0]) == ["shortA", "shortB"]
+        assert failures[1] == failures[0]
 
     def test_segment_bounds_respected(self, corpus, tmp_path):
         first = corpus.items[0]

@@ -110,6 +110,10 @@ class TestEstimatePitch:
         with pytest.raises(ValueError, match=message):
             FrameOptions(**kwargs)
 
+    def test_fractional_resample_freq_rejected(self):
+        with pytest.raises(ValueError, match="resample_freq .*4000.5"):
+            PitchOptions(resample_freq=4000.5)
+
     def test_f0_bounds_invariant(self):
         opts = PitchOptions()
         for seed in range(3):

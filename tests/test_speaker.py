@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from speechfeatures import (DiagGmm, Features, FeaturesCollection, UbmOptions,
+from speechfeatures import (DiagGmm, ExtractionError, Features,
+                            FeaturesCollection, UbmOptions,
                             Utterance, Utterances, VtlnOptions, estimate_warps,
                             load_gmm, load_warps, save_gmm, save_warps,
                             train_ubm)
@@ -312,6 +313,25 @@ class TestEstimateWarps:
         grid = warp_grid(opts).tolist()
         for name, made in calls.items():
             assert made == [[1.0]] + [grid] * len(rounds), name
+
+    def test_first_pass_names_every_failure_before_training(self, monkeypatch):
+        utts = speakered_utterances(
+            [("u2", "s2"), ("bad2", "s1"), ("u1", "s1"), ("bad1", "s2")])
+        synthetic = SyntheticExtractor({"s1": 1.0, "s2": 1.0})
+
+        def failing_extractor(utt, warps):
+            if utt.name.startswith("bad"):
+                raise ExtractionError({utt.name: "ValueError: too short"})
+            return synthetic(utt, warps)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("UBM trained despite failed utterances")
+
+        monkeypatch.setattr(speaker, "train_ubm", no_training)
+        with pytest.raises(ExtractionError) as info:
+            estimate_warps(utts, failing_extractor, self.small_opts())
+        # every failure, in manifest order
+        assert list(info.value.failures) == ["bad2", "bad1"]
 
     def test_requires_speakers(self):
         utts = Utterances([Utterance("u1", "u1.wav")])
