@@ -219,29 +219,13 @@ def _save_csv(coll, path):
             json.dump(feats.properties, fp, indent=2)
 
 
-def _time_columns(header, rows):
-    """The time-column count a CSV's first line states, or else a guess.
-
-    Without that line, columns 0 and 1 are both read as times when both
-    behave like times.
-    """
-    if not header.startswith(TIME_COLUMNS):
-        return 2 if _looks_like_intervals(rows) else 1
+def _time_columns(header):
+    """The time-column count a CSV's first line states."""
     t = header[len(TIME_COLUMNS):].strip()
-    if t not in ("1", "2"):
+    if not header.startswith(TIME_COLUMNS) or t not in ("1", "2"):
         raise ValueError(f"bad header {header.strip()!r}, expected "
                          f"'{TIME_COLUMNS}1' or '{TIME_COLUMNS}2'")
     return int(t)
-
-
-def _looks_like_intervals(cols):
-    """Are columns 0 and 1 of a headerless CSV both time columns?"""
-    if cols.shape[1] < 3:
-        return False
-    onsets, offsets = cols[:, 0], cols[:, 1]
-    return (np.all(np.diff(onsets) > 0)
-            and np.all(onsets < offsets)
-            and np.all(np.diff(offsets) > 0))
 
 
 def _load_csv(path):
@@ -252,17 +236,15 @@ def _load_csv(path):
         if not fname.endswith(".csv"):
             continue
         name = fname[:-4]
-        with open(os.path.join(path, fname), "r", encoding="utf-8") as fp:
-            header = fp.readline()
-            fp.seek(0)
-            rows = np.loadtxt(fp, delimiter=",", ndmin=2)
         props_path = os.path.join(path, name + ".json")
-        properties = {}
-        if os.path.exists(props_path):
-            with open(props_path, "r", encoding="utf-8") as fp:
-                properties = json.load(fp)
         try:
-            t = _time_columns(header, rows)
+            with open(os.path.join(path, fname), "r", encoding="utf-8") as fp:
+                t = _time_columns(fp.readline())
+                rows = np.loadtxt(fp, delimiter=",", ndmin=2)
+            properties = {}
+            if os.path.exists(props_path):
+                with open(props_path, "r", encoding="utf-8") as fp:
+                    properties = json.load(fp)
             coll[name] = Features(rows[:, t:], rows[:, :t], properties)
         except ValueError as err:
             raise FeaturesFormatError(f"{path}/{fname}: {err}") from err

@@ -261,12 +261,16 @@ def estimate_warps(utterances, extractor, opts=None, seed=0):
     """Estimate one frequency warp factor per speaker, unsupervised.
 
     `extractor` is a deterministic callable (utterance, warps) -> [one
-    [m, d] frame matrix per warp]; each round asks it once per utterance for
+    [m, d] frame matrix per warp], whose matrix at a warp must not depend on
+    the other warps requested; each round asks it once per utterance for
     the whole grid. Each round scores every speaker's frames at every warp
     against a UBM trained on the frames at the selected warps (1.0 for
-    everyone at first), and keeps the most likely warp and only its frames;
-    rounds stop early once the warp assignment is stable.
+    everyone at first), and keeps the most likely warp and only its frames.
     Ties prefer the warp closest to 1.0, then the smaller warp.
+
+    A round depends only on the warp map before it, so once a round repeats
+    any earlier map the remaining rounds would cycle: the search stops there
+    and returns the map that round opts.num_iters would have reached.
 
     The extractor reports a failed utterance by raising ExtractionError. The
     first pass, at warp 1.0, visits every utterance in manifest order and
@@ -296,7 +300,7 @@ def estimate_warps(utterances, extractor, opts=None, seed=0):
             failures.update(err.failures)
     if failures:
         raise ExtractionError(failures)
-    warps = {speaker: 1.0 for speaker in by_speaker}
+    history = [{speaker: 1.0 for speaker in by_speaker}]
     selected = {speaker: np.vstack([unwarped.pop(u.name) for u in utts])
                 for speaker, utts in by_speaker.items()}
     for _ in range(opts.num_iters):
@@ -305,18 +309,20 @@ def estimate_warps(utterances, extractor, opts=None, seed=0):
         corpus_mean = train_data.mean(axis=0)
         corpus_std = np.maximum(train_data.std(axis=0), 1e-10)
 
-        new_warps = {}
+        warps = {}
         for speaker, utts in by_speaker.items():
             frames = [np.vstack(per_warp)
                       for per_warp in zip(*(extractor(u, grid) for u in utts))]
-            new_warps[speaker] = select_warp(grid, [
+            warps[speaker] = select_warp(grid, [
                 _warp_score(gmm, f, corpus_mean, corpus_std, opts) for f in frames])
-            selected[speaker] = frames[grid.index(new_warps[speaker])]
+            selected[speaker] = frames[grid.index(warps[speaker])]
             del frames  # hold one speaker's grid of frames at a time
-        if new_warps == warps:
-            break
-        warps = new_warps
-    return warps
+        if warps in history:
+            first = history.index(warps)
+            period = len(history) - first
+            return history[first + (opts.num_iters - first) % period]
+        history.append(warps)
+    return history[-1]
 
 
 def _warp_score(gmm, frames, corpus_mean, corpus_std, opts):

@@ -126,11 +126,6 @@ class PlpOptions(MelOptions):
                 f"and lpc_order {self.lpc_order}")
 
 
-def _check_warp(warp):
-    if not (math.isfinite(warp) and warp > 0):
-        raise ValueError(f"vtln warp must be finite and positive, got {warp}")
-
-
 def vtln_warp_freq(freq, warp, low_freq, high_freq, vtln_low, vtln_high):
     """Piecewise-linear frequency warp used for speaker normalization.
 
@@ -141,7 +136,8 @@ def vtln_warp_freq(freq, warp, low_freq, high_freq, vtln_low, vtln_high):
     Frequencies outside that range pass through unchanged. Raises
     ValueError unless warp is finite and positive.
     """
-    _check_warp(warp)
+    if not (math.isfinite(warp) and warp > 0):
+        raise ValueError(f"vtln warp must be finite and positive, got {warp}")
     low = vtln_low * max(1.0, warp)
     high = vtln_high * min(1.0, warp)
     if low >= high:
@@ -188,40 +184,38 @@ def compute_mel_banks(opts, vtln_warp=1.0):
     """Mel filterbank for the given options and frequency warp.
 
     The FFT size is the one the front end uses, the power of two at or above
-    opts.window_size. Banks are cached per (opts, vtln_warp); callers must
-    not mutate the result. Raises ValueError unless vtln_warp is finite and
-    positive.
+    opts.window_size. The num_bins + 2 band edges are equally spaced in mel
+    and warped together; bin b is the triangle over edges b, b+1 and b+2.
+    Banks are cached per (opts, vtln_warp) and returned read-only. Raises
+    ValueError unless vtln_warp is finite and positive.
     """
-    _check_warp(vtln_warp)
     nfft = next_power_of_two(opts.window_size)
     mel_low = mel(opts.low_freq)
-    mel_high = mel(opts.effective_high_freq)
-    mel_delta = (mel_high - mel_low) / (opts.num_bins + 1)
+    mel_delta = (mel(opts.effective_high_freq) - mel_low) / (opts.num_bins + 1)
+    edges = mel_low + np.arange(opts.num_bins + 2) * mel_delta
+    if vtln_warp != 1.0:
+        edges = mel(vtln_warp_freq(
+            inverse_mel(edges), vtln_warp, opts.low_freq,
+            opts.effective_high_freq, opts.effective_vtln_low,
+            opts.effective_vtln_high))
+    fft_mels = mel(np.arange(nfft // 2 + 1) * (opts.sample_rate / nfft))
 
-    fft_freqs = np.arange(nfft // 2 + 1) * (opts.sample_rate / nfft)
-    fft_mels = mel(fft_freqs)
-
-    def warp_mel(m):
-        if vtln_warp == 1.0:
-            return m
-        return mel(vtln_warp_freq(
-            inverse_mel(m), vtln_warp, opts.low_freq, opts.effective_high_freq,
-            opts.effective_vtln_low, opts.effective_vtln_high))
-
-    centers = np.empty(opts.num_bins)
-    matrix = np.zeros((opts.num_bins, nfft // 2 + 1))
-    for b in range(opts.num_bins):
-        left = warp_mel(mel_low + b * mel_delta)
-        center = warp_mel(mel_low + (b + 1) * mel_delta)
-        right = warp_mel(mel_low + (b + 2) * mel_delta)
-        up = (fft_mels - left) / (center - left)
-        down = (right - fft_mels) / (right - center)
-        weights = np.clip(np.minimum(up, down), 0.0, None)
-        if not weights.any():
-            raise ValueError(
-                f"mel bin {b} has no FFT bin support (nfft {nfft} too small)")
-        centers[b] = inverse_mel(center)
-        matrix[b] = weights
+    centers = inverse_mel(edges[1:-1])
+    left, center, right = edges[:-2, None], edges[1:-1, None], edges[2:, None]
+    # filled in place, one scratch block allocated after the kept matrix:
+    # more temporaries raised the peak RSS of a whole MFCC run
+    matrix = np.subtract(fft_mels, left)
+    matrix /= center - left
+    down = np.subtract(right, fft_mels)
+    down /= right - center
+    np.minimum(matrix, down, out=matrix)
+    np.clip(matrix, 0.0, None, out=matrix)
+    empty = np.flatnonzero(~matrix.any(axis=1))
+    if empty.size:
+        raise ValueError(f"mel bin {empty[0]} has no FFT bin support "
+                         f"(nfft {nfft} too small)")
+    centers.flags.writeable = False
+    matrix.flags.writeable = False
     return MelBanks(centers, matrix)
 
 

@@ -152,14 +152,28 @@ class TestCsvFormat:
         assert back["u"].data.shape == (5, 3)
         assert np.array_equal(back["u"].data, data)
 
-    def test_headerless_csv_guesses_time_columns(self, tmp_path):
+    def test_headerless_csv_rejected_naming_file(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
         (out / "a.csv").write_text("0.0,0.02,7.0\n0.01,0.03,8.0\n")
-        (out / "b.csv").write_text("0.0,5.0,7.0\n0.01,4.0,8.0\n")
-        back = load_collection(out, format="csv")
-        assert back["a"].times.shape == (2, 2)
-        assert back["b"].times.shape == (2, 1)
+        with pytest.raises(FeaturesFormatError,
+                           match=re.escape(f"{out}/a.csv: bad header '0.0,0.02,7.0'")):
+            load_collection(out, format="csv")
+
+    def test_bad_number_names_file(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "a.csv").write_text("# time_columns: 1\n0.1,1.0\n0.2,abc\n")
+        with pytest.raises(FeaturesFormatError,
+                           match=re.escape(f"{out}/a.csv: ") + ".*abc"):
+            load_collection(out, format="csv")
+
+    def test_bad_properties_json_names_file(self, tmp_path):
+        out = tmp_path / "out"
+        sample_collection().save(out, format="csv")
+        (out / "utt2.json").write_text('{"processor": ')
+        with pytest.raises(FeaturesFormatError, match=re.escape(f"{out}/utt2.csv: ")):
+            load_collection(out, format="csv")
 
     @pytest.mark.parametrize("header", ["# time_columns: 3", "# time_columns: x"])
     def test_bad_time_column_header_rejected(self, tmp_path, header):
@@ -183,8 +197,9 @@ class TestCsvFormat:
     def test_invariant_violation_on_load(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
-        (out / "bad.csv").write_text("1.0,5.0\n1.0,6.0\n")
-        with pytest.raises(FeaturesFormatError):
+        # repeated frame times break the Features invariant
+        (out / "bad.csv").write_text("# time_columns: 1\n1.0,5.0\n1.0,6.0\n")
+        with pytest.raises(FeaturesFormatError, match="bad.csv: .*times"):
             load_collection(out, format="csv")
 
 

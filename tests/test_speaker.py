@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,66 @@ def speakered_utterances(names_speakers):
                        for n, s in names_speakers])
 
 
+def previous_map_loop(utterances, extractor, opts, seed=0):
+    """Oracle: the warp search that stops only when a round repeats the
+    map of the round before it, and otherwise runs all opts.num_iters."""
+    grid = warp_grid(opts).tolist()
+    by_speaker = {
+        speaker: sorted(utts, key=lambda u: u.name)
+        for speaker, utts in sorted(utterances.by_speaker().items())}
+    warps = {speaker: 1.0 for speaker in by_speaker}
+    selected = {speaker: np.vstack([extractor(u, [1.0])[0] for u in utts])
+                for speaker, utts in by_speaker.items()}
+    for _ in range(opts.num_iters):
+        train_data = np.vstack(list(selected.values()))
+        gmm = speaker.train_ubm(train_data, opts.ubm, seed=seed)
+        corpus_mean = train_data.mean(axis=0)
+        corpus_std = np.maximum(train_data.std(axis=0), 1e-10)
+        new_warps = {}
+        for spk, utts in by_speaker.items():
+            frames = [np.vstack(per_warp)
+                      for per_warp in zip(*(extractor(u, grid) for u in utts))]
+            new_warps[spk] = speaker.select_warp(grid, [
+                speaker._warp_score(gmm, f, corpus_mean, corpus_std, opts)
+                for f in frames])
+            selected[spk] = frames[grid.index(new_warps[spk])]
+        if new_warps == warps:
+            break
+        warps = new_warps
+    return warps
+
+
+class ScriptedSearch:
+    """Hash-driven stand-ins for train_ubm and _warp_score.
+
+    The "UBM" is a digest of its training data, so it identifies the map
+    that selected those frames; a warp's score is a salted digest of that
+    UBM and the frames, kept to the allowed warps. Every round is then a
+    fixed pseudo-random function of the map before it, over a state space
+    small enough that maps repeat, often with a period above one.
+    """
+
+    def __init__(self, salt, allowed=(0.95, 1.0, 1.05)):
+        self.salt = salt
+        self.allowed = allowed
+        self.trainings = 0
+
+    def extractor(self, utt, warps):
+        speaker_code = float(utt.speaker[1:])
+        return [np.array([[warp, speaker_code]]) for warp in warps]
+
+    def train_ubm(self, data, opts, seed=0):
+        self.trainings += 1
+        return hashlib.sha256(data.tobytes()).digest()
+
+    def warp_score(self, gmm, frames, corpus_mean, corpus_std, opts):
+        if not any(np.isclose(frames[0, 0], self.allowed)):
+            return -np.inf
+        digest = hashlib.sha256(
+            bytes([self.salt]) + gmm + frames.tobytes()).digest()
+        return float(digest[0])
+
+
 class TestEstimateWarps:
     def small_opts(self, **kwargs):
         return VtlnOptions(ubm=UbmOptions(num_gauss=2, num_iters=2,
@@ -313,6 +375,54 @@ class TestEstimateWarps:
         grid = warp_grid(opts).tolist()
         for name, made in calls.items():
             assert made == [[1.0]] + [grid] * len(rounds), name
+
+    def test_stop_at_first_repeated_map_returns_the_full_run_map(
+            self, monkeypatch):
+        utts = speakered_utterances(
+            [("a1", "s1"), ("a2", "s1"), ("b1", "s2"), ("c1", "s3")])
+        opts = VtlnOptions(num_iters=15)
+        full_trainings, early_trainings, longer_cycles = 0, 0, 0
+        for salt in range(40):
+            script = ScriptedSearch(salt)
+            monkeypatch.setattr(speaker, "train_ubm", script.train_ubm)
+            monkeypatch.setattr(speaker, "_warp_score", script.warp_score)
+            expected = previous_map_loop(utts, script.extractor, opts)
+            full_trainings += script.trainings
+            full_run = script.trainings
+            script.trainings = 0
+            assert estimate_warps(utts, script.extractor, opts) == expected, salt
+            assert script.trainings <= full_run, salt
+            early_trainings += script.trainings
+            longer_cycles += full_run == opts.num_iters
+        # some salts oscillate, so the previous-map rule runs every round
+        assert longer_cycles > 0
+        assert early_trainings < full_trainings
+
+    @pytest.mark.parametrize("num_iters", [1, 2, 3, 4, 7])
+    def test_period_two_cycle_returns_the_map_of_round_num_iters(
+            self, monkeypatch, num_iters):
+        # s1 alternates 0.95 -> 1.05 -> 0.95 ...: the maps after 1.0 cycle
+        utts = speakered_utterances([("a1", "s1")])
+
+        def flip_score(gmm, frames, corpus_mean, corpus_std, opts):
+            target = 1.05 if gmm == 0.95 else 0.95
+            return -abs(frames[0, 0] - target)
+
+        trainings = []
+
+        def selected_warp(data, opts, seed=0):
+            trainings.append(1)
+            return float(data[0, 0])
+
+        monkeypatch.setattr(speaker, "train_ubm", selected_warp)
+        monkeypatch.setattr(speaker, "_warp_score", flip_score)
+        extractor = ScriptedSearch(0).extractor
+        opts = VtlnOptions(num_iters=num_iters)
+        expected = previous_map_loop(utts, extractor, opts)
+        assert len(trainings) == num_iters
+        trainings.clear()
+        assert estimate_warps(utts, extractor, opts) == expected
+        assert len(trainings) == min(num_iters, 3)
 
     def test_first_pass_names_every_failure_before_training(self, monkeypatch):
         utts = speakered_utterances(

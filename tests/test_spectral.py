@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from speechfeatures import (Audio, FilterbankOptions, MelOptions, MfccOptions,
                             PlpOptions, SpectrogramOptions, compute_mel_banks,
                             filterbank, inverse_mel, mel, mfcc, plp,
                             spectrogram, vtln_warp_freq)
+from speechfeatures.speaker import VtlnOptions, warp_grid
 from speechfeatures.spectral import (equal_loudness, levinson, lifter_coeffs,
-                                     lpc_to_cepstrum, rasta_filter)
+                                     lpc_to_cepstrum, next_power_of_two,
+                                     rasta_filter)
 
 from conftest import assert_valid_features, make_tone, make_voweled
 
@@ -24,6 +27,42 @@ def naive_dct_ortho(row, num_ceps):
         scale = math.sqrt(1.0 / n) if k == 0 else math.sqrt(2.0 / n)
         out[k] = scale * acc
     return out
+
+
+def bin_loop_mel_banks(opts, vtln_warp=1.0):
+    """Oracle: the mel banks built one bin at a time, each edge warped alone.
+
+    Returns (center_freqs, matrix) as compute_mel_banks did before it warped
+    all edges in one array call.
+    """
+    nfft = next_power_of_two(opts.window_size)
+    mel_low = mel(opts.low_freq)
+    mel_high = mel(opts.effective_high_freq)
+    mel_delta = (mel_high - mel_low) / (opts.num_bins + 1)
+    fft_mels = mel(np.arange(nfft // 2 + 1) * (opts.sample_rate / nfft))
+
+    def warp_mel(m):
+        if vtln_warp == 1.0:
+            return m
+        return mel(vtln_warp_freq(
+            inverse_mel(m), vtln_warp, opts.low_freq, opts.effective_high_freq,
+            opts.effective_vtln_low, opts.effective_vtln_high))
+
+    centers = np.empty(opts.num_bins)
+    matrix = np.zeros((opts.num_bins, nfft // 2 + 1))
+    for b in range(opts.num_bins):
+        left = warp_mel(mel_low + b * mel_delta)
+        center = warp_mel(mel_low + (b + 1) * mel_delta)
+        right = warp_mel(mel_low + (b + 2) * mel_delta)
+        up = (fft_mels - left) / (center - left)
+        down = (right - fft_mels) / (right - center)
+        weights = np.clip(np.minimum(up, down), 0.0, None)
+        if not weights.any():
+            raise ValueError(
+                f"mel bin {b} has no FFT bin support (nfft {nfft} too small)")
+        centers[b] = inverse_mel(center)
+        matrix[b] = weights
+    return centers, matrix
 
 
 def rasta_oracle(x):
@@ -137,11 +176,66 @@ class TestMelBanks:
         b = compute_mel_banks(MelOptions(), 1.0)
         assert a is b
 
+    def test_result_is_read_only(self):
+        banks = compute_mel_banks(MfccOptions(), 1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            banks.matrix[:] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            banks.center_freqs[0] = 0.0
+
     def test_high_freq_relative_to_nyquist(self):
         opts = MelOptions(high_freq=-100.0)
         assert opts.effective_high_freq == 7900.0
         with pytest.raises(ValueError):
             MelOptions(low_freq=500.0, high_freq=100.0)
+
+
+ORACLE_OPTIONS = [
+    MelOptions(),
+    MelOptions(sample_rate=8000),
+    MelOptions(sample_rate=22050, num_bins=40),
+    MelOptions(low_freq=60.0, high_freq=-400.0),
+    MelOptions(vtln_low=200.0, vtln_high=6000.0),
+    MfccOptions(frame_length=0.02, num_bins=30),
+]
+
+
+class TestMelBanksMatchBinLoop:
+    @pytest.mark.parametrize("opts", ORACLE_OPTIONS)
+    def test_bytes_equal_at_every_warp(self, opts):
+        warps = warp_grid(VtlnOptions()).tolist() + [0.5, 0.7, 1.3]
+        for warp in warps:
+            try:
+                centers, matrix = bin_loop_mel_banks(opts, warp)
+            except ValueError as err:
+                # 0.5 leaves a top bin of the 60 Hz to 7.6 kHz bank empty
+                with pytest.raises(ValueError, match=re.escape(str(err))):
+                    compute_mel_banks(opts, warp)
+                continue
+            banks = compute_mel_banks(opts, warp)
+            assert banks.matrix.tobytes() == matrix.tobytes(), warp
+            assert banks.center_freqs.tobytes() == centers.tobytes(), warp
+
+    @pytest.mark.parametrize("opts, warp", [
+        # 5 ms at 8 kHz: 33 FFT bins cannot support 40 narrow low bins
+        (MelOptions(sample_rate=8000, frame_length=0.005, frame_shift=0.005,
+                    num_bins=40), 1.0),
+        (MelOptions(sample_rate=8000, frame_length=0.005, frame_shift=0.005,
+                    num_bins=40), 0.9),
+        # inflection points cross: 3200 * 1.15 >= 3500
+        (MelOptions(vtln_low=3200.0, vtln_high=3500.0), 1.15),
+        # upper inflection point beyond high_freq
+        (MelOptions(high_freq=7000.0, vtln_high=7500.0), 1.1),
+        # lower inflection point below low_freq
+        (MelOptions(low_freq=150.0), 0.9),
+        (MelOptions(), float("nan")),
+    ])
+    def test_same_errors(self, opts, warp):
+        with pytest.raises(ValueError) as expected:
+            bin_loop_mel_banks(opts, warp)
+        with pytest.raises(ValueError) as got:
+            compute_mel_banks(opts, warp)
+        assert str(got.value) == str(expected.value)
 
 
 class TestSpectrogram:
