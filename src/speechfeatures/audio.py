@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .features import read_text
+
 __all__ = [
     "Audio", "Utterance", "Utterances",
     "WavFormatError", "WavChannelError", "WavEncodingError",
@@ -343,12 +345,14 @@ def parse_utterances(path):
 
     A third field that parses as a number selects the onset/offset shape.
     """
-    with open(path, "r", encoding="utf-8") as fp:
-        lines = [(i + 1, line.strip()) for i, line in enumerate(fp)]
+    return read_text(path, _utterances_from_lines)
 
+
+def _utterances_from_lines(lines):
     items = []
     shape = None
-    for lineno, line in lines:
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
         if not line:
             continue
         tokens = line.split()
@@ -368,11 +372,10 @@ def parse_utterances(path):
             utt = Utterance(tokens[0], tokens[1], speaker=tokens[2],
                             onset=float(tokens[3]), offset=float(tokens[4]))
         else:
-            raise ValueError(f"{path}:{lineno}: unparsable utterance line: {line!r}")
+            raise ValueError(f"line {lineno}: unparsable utterance line: {line!r}")
         if shape is None:
             shape = this_shape
         elif this_shape != shape:
-            raise ValueError(
-                f"{path}:{lineno}: line shape {this_shape} differs from {shape}")
+            raise ValueError(f"line {lineno}: shape {this_shape} differs from {shape}")
         items.append(utt)
     return Utterances(items)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .audio import parse_utterances
 from .evaluate import PitchEval, abx_score, ger, load_triplets, mae
-from .features import load_collection
+from .features import load_collection, read_text
 from .pipeline import (FEATURE_OPTIONS, ExtractionError, config_to_text,
                        default_config, extract_features, read_config,
                        write_config)
@@ -64,8 +64,11 @@ def _build_parser():
     return parser
 
 
-def _read_pitch_csv(path):
-    values = np.loadtxt(path, delimiter=",", ndmin=2)
+def _pitch_track(lines):
+    """The f0 column of `time,f0` CSV rows (or of bare f0 rows)."""
+    if not any(line.split("#", 1)[0].strip() for line in lines):
+        raise ValueError("no pitch values")
+    values = np.loadtxt(lines, delimiter=",", ndmin=2)
     return values[:, 0] if values.shape[1] == 1 else values[:, 1]
 
 
@@ -91,11 +94,12 @@ def _cmd_extract(args):
 
 
 def _cmd_eval_pitch(args):
-    truth = _read_pitch_csv(args.truth)
-    estimates = _read_pitch_csv(args.estimates)
+    truth = read_text(args.truth, _pitch_track)
+    estimates = read_text(args.estimates, _pitch_track)
     if truth.shape != estimates.shape:
         raise ValueError(
-            f"track lengths differ: {truth.shape[0]} and {estimates.shape[0]}")
+            f"track lengths differ: {truth.shape[0]} in {args.truth} and "
+            f"{estimates.shape[0]} in {args.estimates}")
     mask = (truth > 0) & (estimates > 0)
     evaluation = PitchEval(truth, estimates, mask)
     print(f"MAE: {mae(evaluation):.6g} Hz")

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .features import read_text
+
 __all__ = ["PitchEval", "AbxTriplet", "mae", "ger", "dtw_cosine",
            "abx_score", "load_triplets"]
 
@@ -223,17 +225,24 @@ def abx_score(triplets):
 
 def load_triplets(path, collection):
     """Read `<name_a> <name_b> <name_x>` lines resolved in a collection."""
+    return read_text(path, lambda lines: _triplets_from_lines(lines, collection))
+
+
+def _triplets_from_lines(lines, collection):
     triplets = []
-    with open(path, "r", encoding="utf-8") as fp:
-        for lineno, line in enumerate(fp, start=1):
-            if not line.strip():
-                continue
-            names = line.split()
-            if len(names) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 names, got {line!r}")
-            missing = [n for n in names if n not in collection]
-            if missing:
-                raise ValueError(
-                    f"{path}:{lineno}: unknown features {', '.join(missing)}")
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        names = line.split()
+        if len(names) != 3:
+            raise ValueError(f"line {lineno}: expected 3 names, got {line!r}")
+        missing = [n for n in names if n not in collection]
+        if missing:
+            raise ValueError(f"line {lineno}: unknown features {', '.join(missing)}")
+        try:
             triplets.append(AbxTriplet(*(collection[n] for n in names)))
+        except ValueError as err:
+            raise ValueError(f"line {lineno}: {err}") from err
+    if not triplets:
+        raise ValueError("no triplets")
     return triplets

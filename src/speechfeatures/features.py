@@ -32,7 +32,7 @@ import numpy as np
 
 __all__ = [
     "Features", "FeaturesCollection", "FeaturesFormatError",
-    "concatenate", "save_collection", "load_collection",
+    "concatenate", "save_collection", "load_collection", "read_text",
 ]
 
 MAGIC = b"SHN1"
@@ -46,6 +46,19 @@ TIME_COLUMNS = "# time_columns: "
 
 class FeaturesFormatError(ValueError):
     """Raised when a stored collection does not match the documented format."""
+
+
+def read_text(path, parse):
+    """parse(lines) over the lines of a UTF-8 text file, as iterated.
+
+    Any ValueError of the read or the parse, undecodable bytes included,
+    is raised again as ValueError("<path>: <message>").
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fp:
+            return parse(list(fp))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
 
 
 def _valid_properties(node):

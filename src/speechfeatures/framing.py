@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["FrameOptions", "num_frames", "window_function", "extract_frames",
            "frame_times", "check_sample_rate"]
@@ -45,6 +46,9 @@ class FrameOptions:
                 f"{self.frame_shift} and {self.frame_length}")
         if self.window_size < 2:
             raise ValueError("frame_length must cover at least 2 samples")
+        if self.window_shift < 1:
+            raise ValueError(f"frame_shift must cover at least 1 sample, got "
+                             f"{self.frame_shift} s at {self.sample_rate} Hz")
         if self.dither < 0:
             raise ValueError(f"dither must be >= 0, got {self.dither}")
         if not 0 <= self.preemph_coeff <= 1:
@@ -121,18 +125,13 @@ def frame_times(m, opts):
     return (starts + 0.5 * shift) / opts.sample_rate
 
 
-def _frame_indices(m, num_samples, opts):
-    """Sample index matrix [m, window_size], edges mirrored when not snipped."""
+def _frame_view(samples, m, opts):
+    """Read-only [m, window_size] view of the frames, unsnipped edges mirrored."""
     size, shift = opts.window_size, opts.window_shift
-    starts = np.arange(m) * shift
-    if not opts.snip_edges:
-        starts = starts + shift // 2 - size // 2
-    idx = starts[:, None] + np.arange(size)[None, :]
-    # reflect around the edges until all indices are in range
-    while idx.min() < 0 or idx.max() >= num_samples:
-        idx = np.where(idx < 0, -idx - 1, idx)
-        idx = np.where(idx >= num_samples, 2 * num_samples - 1 - idx, idx)
-    return idx
+    # one window of mirrored samples on each side covers every centred frame
+    padded = np.pad(samples, size, mode="symmetric")
+    first = size if opts.snip_edges else size + shift // 2 - size // 2
+    return sliding_window_view(padded, size)[first::shift][:m]
 
 
 def extract_frames(audio, opts, seed=0):
@@ -152,22 +151,20 @@ def extract_frames(audio, opts, seed=0):
     if m == 0:
         return (np.zeros((0, size)), np.zeros(0), np.zeros(0))
 
-    idx = _frame_indices(m, audio.nsamples, opts)
-    frames = audio.samples[idx] * INT16_SCALE
+    frames = _frame_view(audio.samples, m, opts) * INT16_SCALE
 
     if opts.dither > 0:
         rng = np.random.default_rng(seed)
-        frames = frames + opts.dither * rng.standard_normal(frames.shape)
+        frames += opts.dither * rng.standard_normal(frames.shape)
     if opts.remove_dc_offset:
-        frames = frames - frames.mean(axis=1, keepdims=True)
+        frames -= frames.mean(axis=1, keepdims=True)
 
     raw_energy = np.log(np.maximum((frames ** 2).sum(axis=1), TINY))
 
     if opts.preemph_coeff != 0:
-        emphasized = np.empty_like(frames)
-        emphasized[:, 0] = frames[:, 0] - opts.preemph_coeff * frames[:, 0]
-        emphasized[:, 1:] = frames[:, 1:] - opts.preemph_coeff * frames[:, :-1]
-        frames = emphasized
+        # later samples first, so each one still sees its predecessor
+        frames[:, 1:] -= opts.preemph_coeff * frames[:, :-1]
+        frames[:, 0] -= opts.preemph_coeff * frames[:, 0]
 
-    frames = frames * window_function(opts.window_type, size)[None, :]
+    frames *= window_function(opts.window_type, size)
     return frames, raw_energy, frame_times(m, opts)

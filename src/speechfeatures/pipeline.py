@@ -20,7 +20,7 @@ import typing
 from dataclasses import dataclass, asdict
 
 from .audio import Utterances, load_wav, resample, segment
-from .features import FeaturesCollection, concatenate
+from .features import FeaturesCollection, concatenate, read_text
 from .pitch import PitchOptions, PostPitchOptions, estimate_pitch, postprocess_pitch
 from .postproc import CmvnOptions, DeltaOptions, cmvn_apply, delta
 from .speaker import ExtractionError, VtlnOptions, estimate_warps
@@ -237,11 +237,7 @@ def write_config(config, path):
 
 def read_config(path):
     """Parse a configuration written by write_config (or hand-edited)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
-            return config_from_dict(_parse_tree(fp.read()))
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from err
+    return read_text(path, lambda lines: config_from_dict(_parse_tree("".join(lines))))
 
 
 def derive_seed(seed, label):
@@ -342,10 +338,12 @@ def extract_features(config, utterances, njobs=1):
         warps = {u.name: speaker_warps[u.speaker] for u in utterances}
 
     tasks = [(config, utt, warps[utt.name]) for utt in utterances]
-    if njobs == 1:
+    # the pool forks all its workers at once, so start no idle ones
+    workers = min(njobs, len(tasks))
+    if workers <= 1:
         outcomes = [_extract_task(task) for task in tasks]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=njobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_extract_task, tasks))
 
     failures = {name: message for name, _, message in outcomes if message}

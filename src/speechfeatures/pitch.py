@@ -64,9 +64,17 @@ class PitchOptions:
             raise ValueError(f"delta_pitch must be > 0, got {self.delta_pitch}")
 
     def check_framing(self, framing):
-        """Raise ValueError unless `framing` snips edges and spans 1/min_f0."""
+        """Raise ValueError unless `framing` suits pitch tracking.
+
+        It must snip edges, shift by at least one sample at resample_freq
+        and span 1/min_f0.
+        """
         if not framing.snip_edges:
             raise ValueError("pitch needs snip_edges: true")
+        if int(round(framing.frame_shift * self.resample_freq)) < 1:
+            raise ValueError(
+                f"frame_shift {framing.frame_shift} s is under one sample at "
+                f"the pitch resample_freq {self.resample_freq} Hz")
         if 1.0 / self.min_f0 > framing.frame_length:
             raise ValueError(
                 f"min_f0 {self.min_f0} Hz implies lags beyond the "

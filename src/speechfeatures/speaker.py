@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import Features, FeaturesCollection
+from .features import Features, FeaturesCollection, read_text
 
 __all__ = ["DiagGmm", "ExtractionError", "UbmOptions", "VtlnOptions",
            "train_ubm", "estimate_warps", "warp_grid", "select_warp", "save_warps",
@@ -351,24 +351,27 @@ def load_warps(path):
 
     Each speaker appears once, with a finite positive warp.
     """
+    return read_text(path, _warps_from_lines)
+
+
+def _warps_from_lines(lines):
     warps = {}
-    with open(path, "r", encoding="utf-8") as fp:
-        for lineno, line in enumerate(fp, start=1):
-            if not line.strip():
-                continue
-            try:
-                speaker, value = line.split()
-                warp = float(value)
-            except ValueError as err:
-                raise ValueError(f"{path}: line {lineno}: expected "
-                                 f"'<speaker> <warp>', got {line!r}") from err
-            if not 0.0 < warp < np.inf:
-                raise ValueError(f"{path}: line {lineno}: warp must be finite "
-                                 f"and positive, got {line!r}")
-            if speaker in warps:
-                raise ValueError(f"{path}: line {lineno}: repeated speaker "
-                                 f"{speaker!r} in {line!r}")
-            warps[speaker] = warp
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            speaker, value = line.split()
+            warp = float(value)
+        except ValueError as err:
+            raise ValueError(f"line {lineno}: expected "
+                             f"'<speaker> <warp>', got {line!r}") from err
+        if not 0.0 < warp < np.inf:
+            raise ValueError(f"line {lineno}: warp must be finite "
+                             f"and positive, got {line!r}")
+        if speaker in warps:
+            raise ValueError(f"line {lineno}: repeated speaker "
+                             f"{speaker!r} in {line!r}")
+        warps[speaker] = warp
     return warps
 
 

@@ -375,12 +375,9 @@ def levinson(autocorr, order):
         if i > 1:
             acc -= np.einsum("mj,mj->m", coeffs[:, :i - 1], autocorr[:, i - 1:0:-1])
         reflection = acc / error
-        updated = coeffs.copy()
-        updated[:, i - 1] = reflection
         if i > 1:
-            updated[:, :i - 1] = (coeffs[:, :i - 1]
-                                  - reflection[:, None] * coeffs[:, i - 2::-1])
-        coeffs = updated
+            coeffs[:, :i - 1] -= reflection[:, None] * coeffs[:, i - 2::-1]
+        coeffs[:, i - 1] = reflection
         error = error * (1.0 - reflection ** 2)
         if np.any(error <= 0):
             frame = int(np.nonzero(error <= 0)[0][0])

@@ -43,6 +43,17 @@ def assert_valid_features(feats):
     assert isinstance(feats.properties, dict)
 
 
+def error_naming_file(path, func, *args):
+    """The message of the ValueError func(*args) raises, which opens with
+    `<path>: ` and names the file nowhere else."""
+    with pytest.raises(ValueError) as info:
+        func(*args)
+    message = str(info.value)
+    assert message.startswith(f"{path}: ")
+    assert message.count(str(path)) == 1
+    return message
+
+
 @pytest.fixture
 def tone_wav(tmp_path):
     """A 1 s 440 Hz 16 kHz WAV file on disk."""

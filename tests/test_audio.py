@@ -10,7 +10,7 @@ from speechfeatures import (Audio, Utterance, Utterances, WavChannelError,
 from speechfeatures import audio as audio_module
 from speechfeatures.audio import _phase_table, sinc_resample, windowed_sinc
 
-from conftest import make_tone
+from conftest import error_naming_file, make_tone
 
 
 def wav_bytes(payload, channels=1, rate=16000, bits=16, code=1):
@@ -361,6 +361,25 @@ class TestParseUtterances:
     def test_numeric_third_field_needs_offset(self, tmp_path):
         with pytest.raises(ValueError, match="unparsable"):
             self.parse(tmp_path, "u1 a.wav 0.5\n")
+
+    @pytest.mark.parametrize("data, expected", [
+        (b"u1 a.wav\nu2 \xff.wav\n", "can't decode byte 0xff"),
+        (b"u1 a.wav\nu1 b.wav\n", "duplicate utterance names: u1"),
+        (b"u1\n", "line 1: unparsable"),
+        (b"u1 a.wav spk1\nu2 b.wav\n", "line 2: shape name-wav differs"),
+        (b"u1 a.wav 2.0 1.0\n", "u1: need 0 <= onset < offset")],
+        ids=["not-utf8", "duplicate", "unparsable", "shape", "bounds"])
+    def test_errors_name_the_file_once(self, tmp_path, data, expected):
+        path = tmp_path / "utts.txt"
+        path.write_bytes(data)
+        assert expected in error_naming_file(path, parse_utterances, path)
+
+    def test_line_ends_as_iterated(self, tmp_path):
+        # a form feed separates fields but ends no line of an iterated file
+        path = tmp_path / "utts.txt"
+        path.write_bytes(b"u1 a.wav\x0cs1\r\nu2 b.wav s2\ru3 c.wav s3\n")
+        utts = parse_utterances(path)
+        assert [u.speaker for u in utts] == ["s1", "s2", "s3"]
 
     def test_blank_lines_skipped(self, tmp_path):
         utts = self.parse(tmp_path, "\nu1 a.wav\n\nu2 b.wav\n")

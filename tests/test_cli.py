@@ -199,6 +199,24 @@ class TestExtractCommand:
         assert err.startswith(f"speech-features: error: {config}: ")
         assert key in err
 
+    @pytest.mark.parametrize("features, pitch, shift", [
+        ("mfcc", [], "0.00003"), ("mfcc", ["--pitch", "kaldi"], "0.0001")],
+        ids=["feature-rate", "pitch-rate"])
+    def test_sub_sample_shift_fails_at_load(self, tmp_path, small_corpus,
+                                            capsys, features, pitch, shift):
+        config = tmp_path / "config.txt"
+        main(["config", features, *pitch, "-o", str(config)])
+        text = config.read_text()
+        assert text.count("frame_shift: 0.01\n") == 1
+        config.write_text(text.replace("frame_shift: 0.01\n",
+                                       f"frame_shift: {shift}\n"))
+        assert main(["extract", str(config), str(small_corpus),
+                     str(tmp_path / "out.bin")]) == 1
+        err = capsys.readouterr().err
+        where = "frame_shift 0.0001 s" if pitch else "mfcc: frame_shift must"
+        assert err.startswith(f"speech-features: error: {config}: {where}")
+        assert not (tmp_path / "out.bin").exists()
+
     @pytest.mark.parametrize("old, new, where", [
         ("dither: 0.1", "dither: nan", "mfcc: dither"),
         ("nccf_ballast: 7000.0", "nccf_ballast: nan", "pitch: nccf_ballast"),
@@ -258,6 +276,40 @@ class TestEvalCommand:
         np.savetxt(b, np.ones((4, 2)) * [[0.1, 100]], delimiter=",")
         assert main(["eval", "pitch", str(a), str(b)]) == 1
         assert "lengths differ" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, expected", [
+        ("0.0,100\n0.01,abc\n", "could not convert string 'abc'"),
+        ("0.0,100\n0.01\n", "the number of columns changed"),
+        ("", "no pitch values"),
+        ("# time,f0\n\n", "no pitch values")],
+        ids=["not-a-number", "columns", "empty", "comments-only"])
+    def test_bad_pitch_track_names_file(self, tmp_path, capsys, recwarn, text,
+                                        expected):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("0.0,100\n0.01,120\n")
+        bad.write_text(text)
+        for args in ([good, bad], [bad, good]):
+            assert main(["eval", "pitch", *map(str, args)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"speech-features: error: {bad}: ")
+            assert expected in err
+        assert not recwarn.list
+
+    def test_pitch_length_mismatch_names_both_files(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("0.0,100\n0.01,120\n")
+        b.write_text("0.0,100\n")
+        assert main(["eval", "pitch", str(a), str(b)]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith(f"track lengths differ: 2 in {a} and 1 in {b}\n")
+
+    def test_undecodable_pitch_track_names_file(self, tmp_path, capsys):
+        path = tmp_path / "truth.csv"
+        path.write_bytes(b"0.0,100\n\xff\n")
+        assert main(["eval", "pitch", str(path), str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"speech-features: error: {path}: ")
+        assert "can't decode" in err
 
     def test_abx(self, tmp_path, capsys, small_corpus):
         config = tmp_path / "config.txt"

@@ -8,6 +8,8 @@ from speechfeatures import (AbxTriplet, Features, FeaturesCollection,
                             load_triplets, mae)
 from speechfeatures.evaluate import _cosine_cost, _dtw_many
 
+from conftest import error_naming_file
+
 
 class TestMae:
     def test_identical(self):
@@ -287,3 +289,19 @@ class TestLoadTriplets:
         path.write_text("p p\n")
         with pytest.raises(ValueError, match="3 names"):
             load_triplets(path, coll)
+
+    @pytest.mark.parametrize("data, expected", [
+        (b"p q r\n\xff q r\n", "can't decode byte 0xff"),
+        (b"p q r\np q s\n", "line 2: triplet channel counts differ: [2, 3]"),
+        (b"\n \n", "no triplets"),
+        (b"p p\n", "line 1: expected 3 names"),
+        (b"p p missing\n", "line 1: unknown features missing")],
+        ids=["not-utf8", "channels", "empty", "field-count", "unknown"])
+    def test_errors_name_the_file_once(self, tmp_path, data, expected):
+        coll = FeaturesCollection({"p": feats(np.ones((2, 2))),
+                                   "q": feats(np.ones((3, 2))),
+                                   "r": feats(np.ones((2, 2))),
+                                   "s": feats(np.ones((2, 3)))})
+        path = tmp_path / "triplets.txt"
+        path.write_bytes(data)
+        assert expected in error_naming_file(path, load_triplets, path, coll)

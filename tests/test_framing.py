@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from speechfeatures import Audio, FrameOptions, extract_frames, num_frames, window_function
-from speechfeatures.framing import frame_times
+from speechfeatures.framing import TINY, WINDOW_TYPES, frame_times
 
 from conftest import make_tone
 
@@ -25,6 +25,92 @@ def enumerate_frames_centered(num_samples, shift):
         count += 1
         i += 1
     return count
+
+
+def frame_indices(m, num_samples, opts):
+    """Reference sample index matrix [m, window_size], mirrored in a loop."""
+    size, shift = opts.window_size, opts.window_shift
+    starts = np.arange(m) * shift
+    if not opts.snip_edges:
+        starts = starts + shift // 2 - size // 2
+    idx = starts[:, None] + np.arange(size)[None, :]
+    # reflect around the edges until all indices are in range
+    while idx.min() < 0 or idx.max() >= num_samples:
+        idx = np.where(idx < 0, -idx - 1, idx)
+        idx = np.where(idx >= num_samples, 2 * num_samples - 1 - idx, idx)
+    return idx
+
+
+def indexed_extract_frames(audio, opts, seed=0):
+    """Reference front end: indexed frames, a new array at every step."""
+    m = num_frames(audio.nsamples, opts)
+    size = opts.window_size
+    if m == 0:
+        return (np.zeros((0, size)), np.zeros(0), np.zeros(0))
+    frames = audio.samples[frame_indices(m, audio.nsamples, opts)] * 32768.0
+    if opts.dither > 0:
+        rng = np.random.default_rng(seed)
+        frames = frames + opts.dither * rng.standard_normal(frames.shape)
+    if opts.remove_dc_offset:
+        frames = frames - frames.mean(axis=1, keepdims=True)
+    raw_energy = np.log(np.maximum((frames ** 2).sum(axis=1), TINY))
+    if opts.preemph_coeff != 0:
+        emphasized = np.empty_like(frames)
+        emphasized[:, 0] = frames[:, 0] - opts.preemph_coeff * frames[:, 0]
+        emphasized[:, 1:] = frames[:, 1:] - opts.preemph_coeff * frames[:, :-1]
+        frames = emphasized
+    frames = frames * window_function(opts.window_type, size)[None, :]
+    return frames, raw_energy, frame_times(m, opts)
+
+
+def assert_same_bytes(audio, opts, seed):
+    got = extract_frames(audio, opts, seed=seed)
+    expected = indexed_extract_frames(audio, opts, seed=seed)
+    for a, b in zip(got, expected):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+class TestFramingOracle:
+    @pytest.mark.parametrize("rate, length, shift", [
+        (16000, 0.025, 0.01), (8000, 0.02, 0.02), (22050, 0.025, 0.01),
+        (100, 0.07, 0.03)])
+    @pytest.mark.parametrize("snip", [True, False])
+    def test_option_grid_is_bit_identical(self, rate, length, shift, snip):
+        rng = np.random.default_rng(rate)
+        size = int(round(length * rate))
+        for nsamples in (1, 3, size - 1, size, size + 1, 5 * size + 3, rate):
+            audio = Audio(rng.uniform(-0.5, 0.5, nsamples), rate)
+            for dither in (0.0, 0.1, 1.0):
+                for dc in (True, False):
+                    for preemph in (0.0, 0.97, 1.0):
+                        for window in WINDOW_TYPES:
+                            opts = FrameOptions(
+                                sample_rate=rate, frame_shift=shift,
+                                frame_length=length, dither=dither,
+                                preemph_coeff=preemph, remove_dc_offset=dc,
+                                window_type=window, snip_edges=snip)
+                            assert_same_bytes(audio, opts, seed=nsamples)
+
+    @pytest.mark.parametrize("snip", [True, False])
+    def test_every_length_is_bit_identical(self, snip):
+        # frames of 7 samples every 3 samples: the shortest signals need
+        # several mirror passes at both edges
+        opts = FrameOptions(sample_rate=100, frame_shift=0.03, frame_length=0.07,
+                            snip_edges=snip)
+        rng = np.random.default_rng(1)
+        for nsamples in range(1, 301):
+            assert_same_bytes(Audio(rng.standard_normal(nsamples), 100), opts,
+                              seed=nsamples)
+
+    def test_centered_frames_mirror_the_edges(self):
+        opts = FrameOptions(sample_rate=100, frame_shift=0.03, frame_length=0.07,
+                            dither=0.0, preemph_coeff=0.0,
+                            remove_dc_offset=False, window_type="rectangular",
+                            snip_edges=False)
+        frames, _, _ = extract_frames(Audio(np.array([1.0, 2.0]) / 32768, 100), opts)
+        # one frame starting 2 samples before the signal: 2 1 | 1 2 | 2 1 1
+        assert frames.tolist() == [[2.0, 1.0, 1.0, 2.0, 2.0, 1.0, 1.0]]
 
 
 class TestNumFrames:
@@ -172,6 +258,11 @@ class TestFrameOptions:
     def test_shift_must_not_exceed_length(self):
         with pytest.raises(ValueError):
             FrameOptions(frame_shift=0.05, frame_length=0.025)
+
+    @pytest.mark.parametrize("rate, shift", [(16000, 0.00003), (100, 0.004)])
+    def test_shift_under_one_sample_rejected(self, rate, shift):
+        with pytest.raises(ValueError, match="frame_shift must cover at least 1 sample"):
+            FrameOptions(sample_rate=rate, frame_shift=shift)
 
     def test_negative_dither(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import importlib.util
 from pathlib import Path
@@ -15,7 +16,7 @@ from speechfeatures.pipeline import (FEATURE_OPTIONS, _warped_mfccs,
 from speechfeatures.speaker import warp_grid
 from speechfeatures.spectral import MfccOptions, SpectrogramOptions
 
-from conftest import make_voweled
+from conftest import error_naming_file, make_voweled
 
 
 @pytest.fixture
@@ -168,6 +169,11 @@ class TestConfigFile:
                            match=f"line {line}: repeated key '{key}'"):
             read_config(path)
 
+    def test_undecodable_config_names_file(self, tmp_path):
+        path = tmp_path / "config.txt"
+        path.write_bytes(b"features: mfcc\n# caf\xe9\n")
+        assert "can't decode" in error_naming_file(path, read_config, path)
+
     def test_fractional_resample_freq_names_file_block_and_key(self, tmp_path):
         path = tmp_path / "config.txt"
         write_config(default_config("mfcc", with_pitch=True), path)
@@ -289,6 +295,34 @@ class TestExtractFeatures:
                 expected = mfcc(audio, MfccOptions(sample_rate=16000),
                                 vtln_warp=warp, seed=derive_seed(7, utt.name))
                 assert np.array_equal(matrix, expected.data)
+
+    @pytest.mark.parametrize("njobs, count, pools", [
+        (8, 3, [3]), (2, 3, [2]), (8, 1, []), (1, 3, [])])
+    def test_workers_capped_at_utterance_count(self, corpus, monkeypatch,
+                                               njobs, count, pools):
+        class InlinePool:
+            """Records the pool size asked for and maps in this process."""
+            def __init__(self, max_workers):
+                pools_made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, func, tasks):
+                return map(func, tasks)
+
+        pools_made = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        utterances = Utterances(list(corpus)[:count])
+        coll = extract_features(default_config("mfcc"), utterances, njobs=njobs)
+        assert pools_made == pools
+        serial = extract_features(default_config("mfcc"), utterances)
+        assert list(coll) == list(serial)
+        for name in coll:
+            assert coll[name] == serial[name]
 
     def test_bad_njobs(self, corpus):
         with pytest.raises(ValueError):

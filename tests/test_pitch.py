@@ -75,6 +75,15 @@ class TestEstimatePitch:
         with pytest.raises(ValueError, match="snip_edges"):
             estimate_pitch(make_tone(220), framing=FrameOptions(snip_edges=False))
 
+    def test_shift_under_one_pitch_sample_rejected(self):
+        # 2 samples at 16 kHz, but 0.4 at the 4 kHz pitch rate
+        framing = FrameOptions(frame_shift=0.0001)
+        with pytest.raises(ValueError, match="resample_freq"):
+            PitchOptions().check_framing(framing)
+        with pytest.raises(ValueError, match="frame_shift 0.0001 s"):
+            estimate_pitch(make_tone(220, duration=0.1), framing=framing)
+        PitchOptions(resample_freq=10000.0).check_framing(framing)
+
     def test_frames_follow_the_feature_framing(self):
         from speechfeatures import MfccOptions, mfcc
         audio = make_tone(220, rate=8000)

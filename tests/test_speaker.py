@@ -11,6 +11,8 @@ from speechfeatures import (DiagGmm, ExtractionError, Features,
 from speechfeatures import speaker
 from speechfeatures.speaker import warp_grid
 
+from conftest import error_naming_file
+
 
 def naive_loglike(gmm, frame):
     """Independent oracle: direct (unguarded) mixture density evaluation."""
@@ -490,6 +492,11 @@ class TestSerialization:
         path.write_text(f"alice 0.97\n\n{line}\n")
         with pytest.raises(ValueError, match=f"{path}: line 3: .*{line}"):
             load_warps(path)
+
+    def test_undecodable_warps_name_file(self, tmp_path):
+        path = tmp_path / "warps.txt"
+        path.write_bytes(b"alice 0.97\n\xe9ve 1.02\n")
+        assert "can't decode" in error_naming_file(path, load_warps, path)
 
     def test_gmm_round_trip(self, tmp_path):
         data = two_cluster_data(2000)

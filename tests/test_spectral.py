@@ -333,6 +333,66 @@ class TestMfcc:
             MfccOptions(num_ceps=24, num_bins=23)
 
 
+def copying_levinson(autocorr, order):
+    """Reference recursion: a fresh predictor array at every order."""
+    autocorr = np.atleast_2d(np.asarray(autocorr, dtype=np.float64))
+    m = autocorr.shape[0]
+    coeffs = np.zeros((m, order))
+    error = autocorr[:, 0].copy()
+    if np.any(error <= 0):
+        frame = int(np.nonzero(error <= 0)[0][0])
+        raise ValueError(f"non-positive zero-lag autocorrelation at frame {frame}")
+    for i in range(1, order + 1):
+        acc = autocorr[:, i].copy()
+        if i > 1:
+            acc -= np.einsum("mj,mj->m", coeffs[:, :i - 1], autocorr[:, i - 1:0:-1])
+        reflection = acc / error
+        updated = coeffs.copy()
+        updated[:, i - 1] = reflection
+        if i > 1:
+            updated[:, :i - 1] = (coeffs[:, :i - 1]
+                                  - reflection[:, None] * coeffs[:, i - 2::-1])
+        coeffs = updated
+        error = error * (1.0 - reflection ** 2)
+        if np.any(error <= 0):
+            frame = int(np.nonzero(error <= 0)[0][0])
+            raise ValueError(f"non-positive prediction error at frame {frame}")
+    return coeffs, error
+
+
+def raise_message(func, *args):
+    """The message of the ValueError func(*args) raises, or None."""
+    try:
+        func(*args)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+class TestLevinsonOracle:
+    @pytest.mark.parametrize("order", range(1, 25))
+    def test_bit_identical_to_copying_recursion(self, order):
+        rng = np.random.default_rng(order)
+        for frames in (1, 7, 40):
+            x = rng.standard_normal((frames, 64))
+            r = np.stack([np.correlate(row, row, "full")[63:64 + order]
+                          for row in x])
+            coeffs, error = levinson(r, order)
+            old_coeffs, old_error = copying_levinson(r, order)
+            assert coeffs.tobytes() == old_coeffs.tobytes()
+            assert error.tobytes() == old_error.tobytes()
+
+    @pytest.mark.parametrize("rows", [
+        [[0.0, 0.1]], [[1.0, 0.5], [-1.0, 0.0]], [[1.0, 0.5], [1.0, 2.0]],
+        [[1.0, 1.0, 0.3]], [[1.0, 0.5, 0.25], [1.0, 0.9, -0.9]]])
+    def test_same_failure_as_copying_recursion(self, rows):
+        r = np.array(rows)
+        order = r.shape[1] - 1
+        message = raise_message(levinson, r, order)
+        assert message is not None
+        assert message == raise_message(copying_levinson, r, order)
+
+
 class TestPlpInternals:
     def test_levinson_hand_case(self):
         coeffs, error = levinson(np.array([[1.0, 0.5]]), 1)
