@@ -84,6 +84,11 @@ def _read_chunks(data, path):
         pos += 8 + size + (size & 1)
 
 
+# (format code, bits) -> (stored dtype, offset, scale): samples are (stored - offset) / scale
+_ENCODINGS = {(1, 8): ("u1", 128, 128), (1, 16): ("<i2", 0, 32768),
+              (1, 32): ("<i4", 0, 2**31), (3, 32): ("<f4", 0, 1)}
+
+
 def load_wav(path):
     """Load a mono WAV file into an Audio.
 
@@ -116,20 +121,12 @@ def load_wav(path):
     if rate <= 0:
         raise WavFormatError(f"{path}: invalid sample rate {rate}")
 
-    if code == 1 and bits == 8:
-        raw = np.frombuffer(payload, dtype=np.uint8)
-        samples = (raw.astype(np.float64) - 128.0) / 128.0
-    elif code == 1 and bits == 16:
-        raw = np.frombuffer(payload[:len(payload) // 2 * 2], dtype="<i2")
-        samples = raw.astype(np.float64) / 32768.0
-    elif code == 1 and bits == 32:
-        raw = np.frombuffer(payload[:len(payload) // 4 * 4], dtype="<i4")
-        samples = raw.astype(np.float64) / 2147483648.0
-    elif code == 3 and bits == 32:
-        raw = np.frombuffer(payload[:len(payload) // 4 * 4], dtype="<f4")
-        samples = raw.astype(np.float64)
-    else:
+    if (code, bits) not in _ENCODINGS:
         raise WavEncodingError(f"{path}: unsupported encoding (format {code}, {bits} bit)")
+    dtype, offset, scale = _ENCODINGS[code, bits]
+    size = np.dtype(dtype).itemsize
+    raw = np.frombuffer(payload[:len(payload) // size * size], dtype=dtype)
+    samples = (raw.astype(np.float64) - offset) / scale
     return Audio(samples, int(rate))
 
 
@@ -378,4 +375,6 @@ def _utterances_from_lines(lines):
         elif this_shape != shape:
             raise ValueError(f"line {lineno}: shape {this_shape} differs from {shape}")
         items.append(utt)
+    if not items:
+        raise ValueError("no utterances")
     return Utterances(items)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .audio import parse_utterances
 from .evaluate import PitchEval, abx_score, ger, load_triplets, mae
-from .features import load_collection, read_text
+from .features import TIME_TOLERANCE, load_collection, read_text
 from .pipeline import (FEATURE_OPTIONS, ExtractionError, config_to_text,
                        default_config, extract_features, read_config,
                        write_config)
@@ -65,11 +65,13 @@ def _build_parser():
 
 
 def _pitch_track(lines):
-    """The f0 column of `time,f0` CSV rows (or of bare f0 rows)."""
+    """The [m, 2] `time,f0` (or [m, 1] bare f0) rows of a CSV pitch track."""
     if not any(line.split("#", 1)[0].strip() for line in lines):
         raise ValueError("no pitch values")
     values = np.loadtxt(lines, delimiter=",", ndmin=2)
-    return values[:, 0] if values.shape[1] == 1 else values[:, 1]
+    if values.shape[1] > 2:
+        raise ValueError(f"expected time,f0 or f0 rows, got {values.shape[1]} columns")
+    return values
 
 
 def _cmd_config(args):
@@ -96,10 +98,15 @@ def _cmd_extract(args):
 def _cmd_eval_pitch(args):
     truth = read_text(args.truth, _pitch_track)
     estimates = read_text(args.estimates, _pitch_track)
-    if truth.shape != estimates.shape:
+    if truth.shape[0] != estimates.shape[0]:
         raise ValueError(
             f"track lengths differ: {truth.shape[0]} in {args.truth} and "
             f"{estimates.shape[0]} in {args.estimates}")
+    # two timed tracks must share their time grid, as in features.concatenate
+    if truth.shape[1] == estimates.shape[1] == 2 and not np.allclose(
+            truth[:, 0], estimates[:, 0], rtol=0, atol=TIME_TOLERANCE):
+        raise ValueError(f"frame times differ between {args.truth} and {args.estimates}")
+    truth, estimates = truth[:, -1], estimates[:, -1]
     mask = (truth > 0) & (estimates > 0)
     evaluation = PitchEval(truth, estimates, mask)
     print(f"MAE: {mae(evaluation):.6g} Hz")

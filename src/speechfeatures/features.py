@@ -27,6 +27,7 @@ import json
 import math
 import os
 import struct
+from collections import UserDict
 
 import numpy as np
 
@@ -154,33 +155,23 @@ def concatenate(a, b):
     return Features(np.hstack([a.data, b.data]), a.times, properties)
 
 
-class FeaturesCollection(dict):
+class FeaturesCollection(UserDict):
     """A name -> Features map with save/load support.
 
-    Every insertion (item assignment, construction, update, setdefault and
-    |=) goes through __setitem__, which checks the name and the value.
+    Every insertion (item assignment, construction, update, setdefault,
+    fromkeys, copy, | and |=) goes through __setitem__, which checks the
+    name and the value.
     """
-
-    def __init__(self, items=(), /, **kwargs):
-        self.update(items, **kwargs)
 
     def __setitem__(self, name, feats):
         if not isinstance(name, str) or not name:
             raise ValueError(f"item name must be a non-empty string, got {name!r}")
         if not isinstance(feats, Features):
             raise ValueError(f"{name}: value must be a Features")
-        super().__setitem__(name, feats)
-
-    def update(self, items=(), /, **kwargs):
-        for name, feats in dict(items, **kwargs).items():
-            self[name] = feats
-
-    def setdefault(self, name, feats=None):
-        if name not in self:
-            self[name] = feats
-        return self[name]
+        self.data[name] = feats
 
     def __ior__(self, items):
+        # UserDict.__ior__ merges into self.data, past the check
         self.update(items)
         return self
 
@@ -192,6 +183,13 @@ class FeaturesCollection(dict):
         return load_collection(path, format)
 
 
+def _codec(format):
+    """The (save, load) pair of a format name."""
+    if format not in _CODECS:
+        raise ValueError(f"unknown format {format!r}, expected {' or '.join(map(repr, _CODECS))}")
+    return _CODECS[format]
+
+
 def save_collection(coll, path, format="binary"):
     """Save a FeaturesCollection as CSV files or a binary container.
 
@@ -201,21 +199,12 @@ def save_collection(coll, path, format="binary"):
     item. With format="binary" a single container file is written (layout
     in the module docstring).
     """
-    if format == "csv":
-        _save_csv(coll, path)
-    elif format == "binary":
-        _save_binary(coll, path)
-    else:
-        raise ValueError(f"unknown format {format!r}, expected 'csv' or 'binary'")
+    _codec(format)[0](coll, path)
 
 
 def load_collection(path, format="binary"):
     """Inverse of save_collection; invariants are re-validated on load."""
-    if format == "csv":
-        return _load_csv(path)
-    if format == "binary":
-        return _load_binary(path)
-    raise ValueError(f"unknown format {format!r}, expected 'csv' or 'binary'")
+    return _codec(format)[1](path)
 
 
 def _save_csv(coll, path):
@@ -328,3 +317,6 @@ def _load_binary(path):
         except ValueError as err:
             raise FeaturesFormatError(f"{path}: item {name!r}: {err}") from err
     return coll
+
+
+_CODECS = {"csv": (_save_csv, _load_csv), "binary": (_save_binary, _load_binary)}

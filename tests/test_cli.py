@@ -163,6 +163,17 @@ class TestExtractCommand:
                      str(tmp_path / "out.bin")]) == 1
         assert "unparsable" in capsys.readouterr().err
 
+    def test_empty_manifest_fails_naming_file(self, tmp_path, capsys):
+        manifest = tmp_path / "utterances.txt"
+        manifest.write_text("\n  \n")
+        config = tmp_path / "config.txt"
+        main(["config", "mfcc", "-o", str(config)])
+        output = tmp_path / "out.bin"
+        assert main(["extract", str(config), str(manifest), str(output)]) == 1
+        assert capsys.readouterr().err == (
+            f"speech-features: error: {manifest}: no utterances\n")
+        assert not output.exists()
+
     @pytest.mark.parametrize("old, new, key", [
         ("num_ceps:", "num_cepz:", "num_cepz"),
         ("  by: speaker\n", "", "by"),
@@ -281,8 +292,9 @@ class TestEvalCommand:
         ("0.0,100\n0.01,abc\n", "could not convert string 'abc'"),
         ("0.0,100\n0.01\n", "the number of columns changed"),
         ("", "no pitch values"),
-        ("# time,f0\n\n", "no pitch values")],
-        ids=["not-a-number", "columns", "empty", "comments-only"])
+        ("# time,f0\n\n", "no pitch values"),
+        ("0.0,100,1\n", "expected time,f0 or f0 rows, got 3 columns")],
+        ids=["not-a-number", "columns", "empty", "comments-only", "three-columns"])
     def test_bad_pitch_track_names_file(self, tmp_path, capsys, recwarn, text,
                                         expected):
         good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
@@ -302,6 +314,23 @@ class TestEvalCommand:
         assert main(["eval", "pitch", str(a), str(b)]) == 1
         err = capsys.readouterr().err
         assert err.endswith(f"track lengths differ: 2 in {a} and 1 in {b}\n")
+
+    def test_pitch_times_differ_names_both_files(self, tmp_path, capsys):
+        truth, est = tmp_path / "truth.csv", tmp_path / "est.csv"
+        truth.write_text("0.0,100\n0.01,200\n")
+        est.write_text("5.0,100\n9.0,200\n")
+        assert main(["eval", "pitch", str(truth), str(est)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"frame times differ between {truth} and {est}\n")
+
+    def test_bare_f0_track_compared_row_by_row(self, tmp_path, capsys):
+        truth, est = tmp_path / "truth.csv", tmp_path / "est.csv"
+        truth.write_text("0.0,100\n0.01,200\n")
+        est.write_text("110\n200\n")
+        assert main(["eval", "pitch", str(truth), str(est)]) == 0
+        assert "MAE: 5 Hz" in capsys.readouterr().out
 
     def test_undecodable_pitch_track_names_file(self, tmp_path, capsys):
         path = tmp_path / "truth.csv"

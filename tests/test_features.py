@@ -284,15 +284,19 @@ class TestCollection:
         (lambda c: c.__ior__({"d": None}), "d: value must be a Features"),
         (lambda c: FeaturesCollection(e=np.zeros((2, 2))),
          "e: value must be a Features"),
+        (lambda c: c | {"x": 3}, "x: value must be a Features"),
+        (lambda c: {"x": 3} | c, "x: value must be a Features"),
+        (lambda c: FeaturesCollection.fromkeys(["x"]), "x: value must be a Features"),
     ], ids=["update", "update-keyword", "update-pairs", "setdefault-name",
-            "setdefault-value", "ior", "keyword-construction"])
+            "setdefault-value", "ior", "keyword-construction", "or", "reflected-or",
+            "fromkeys"])
     def test_every_insertion_checked(self, insert, message):
         coll = FeaturesCollection({"ok": random_features()})
         with pytest.raises(ValueError, match=message):
             insert(coll)
         assert list(coll) == ["ok"]
 
-    def test_insertions_of_features_accepted(self):
+    def test_insertions_of_features_accepted(self, tmp_path):
         feats = random_features()
         coll = FeaturesCollection(a=feats)
         coll.update({"b": feats}, c=feats)
@@ -300,3 +304,11 @@ class TestCollection:
         coll |= {"d": feats}
         assert isinstance(coll, FeaturesCollection)
         assert list(coll) == ["a", "b", "c", "d"]
+        other = {"e": random_features(seed=2)}
+        assert type(coll.copy()) is FeaturesCollection
+        assert type(coll | other) is FeaturesCollection
+        assert type(other | coll) is FeaturesCollection
+        assert list(other | coll) == ["e", "a", "b", "c", "d"]
+        path = tmp_path / "copy.bin"
+        coll.copy().save(path)
+        assert load_collection(path) == coll

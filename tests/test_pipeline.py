@@ -41,12 +41,18 @@ def small_vtln_config(seed=0):
         config, vtln=dataclasses.replace(config.vtln, num_iters=2, ubm=ubm))
 
 
-def test_traced_names_resolve():
-    """bench/tracer.py wraps functions by the names the program calls them by."""
+def _load_tracer():
+    """bench/tracer.py, loaded by path (bench/ is not a package)."""
     path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_traced_names_resolve():
+    """bench/tracer.py wraps functions by the names the program calls them by."""
+    tracer = _load_tracer()
     for _, places, _ in tracer.TRACED:
         for module_name, attribute in places:
             module = importlib.import_module("speechfeatures." + module_name)
@@ -55,6 +61,55 @@ def test_traced_names_resolve():
     pipeline = importlib.import_module("speechfeatures.pipeline")
     for features in FEATURE_OPTIONS:
         assert callable(getattr(pipeline, features, None)), features
+
+
+def test_every_traced_span_is_reached(tmp_path):
+    """Command line sessions still call every name bench/tracer.py wraps."""
+    tracer = _load_tracer()
+    cli = importlib.import_module("speechfeatures.cli")
+
+    def run(*argv):
+        assert cli.main([str(a) for a in argv]) == 0
+
+    for i, (name, f0) in enumerate([("a1", 120), ("a2", 130), ("b1", 210)]):
+        write_wav(tmp_path / f"{name}.wav",
+                  make_voweled(f0, [600 + 40 * i, 1400], duration=0.3, seed=i))
+    write_wav(tmp_path / "rec.wav", make_voweled(150, [700, 1200], duration=0.7,
+                                                 rate=22050))
+    speakers = tmp_path / "speakers.txt"
+    speakers.write_text("".join(f"{n} {tmp_path}/{n}.wav {n[0]}\n"
+                                for n in ("a1", "a2", "b1")))
+    segments = tmp_path / "segments.txt"
+    segments.write_text("".join(f"s{k} {tmp_path}/rec.wav {k / 5} {k / 5 + 0.2}\n"
+                                for k in range(3)))
+    (tmp_path / "triplets.txt").write_text("s0 s1 s2\n")
+    one = tmp_path / "one.txt"
+    one.write_text(f"a1 {tmp_path}/a1.wav\n")
+    configs = {name: tmp_path / f"{name}.txt"
+               for name in ("vtln", "plp", "spectrogram", "filterbank")}
+
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        run("config", "mfcc", "--pitch", "kaldi", "--delta", "--cmvn", "--vtln",
+            "-o", configs["vtln"])
+        text = configs["vtln"].read_text()
+        configs["vtln"].write_text(text.replace("  num_iters: 15\n", "  num_iters: 2\n")
+                                   .replace("num_gauss: 64", "num_gauss: 4"))
+        run("extract", configs["vtln"], speakers, tmp_path / "vtln.bin", "--njobs", 1)
+        run("config", "plp", "--delta", "-o", configs["plp"])
+        run("extract", configs["plp"], segments, tmp_path / "plp.bin", "--njobs", 1)
+        run("eval", "abx", tmp_path / "triplets.txt", tmp_path / "plp.bin")
+        for name in ("spectrogram", "filterbank"):
+            run("config", name, "-o", configs[name])
+            run("extract", configs[name], one, tmp_path / f"{name}.bin", "--njobs", 1)
+    finally:
+        spans.uninstall()
+
+    # abx_score sweeps all pairs in one batched DTW and no longer calls
+    # dtw_cosine (the FOUND line of CHANGES.md on evaluate.dtw_ms reading 0)
+    expected = {name for name, _, _ in tracer.TRACED} - {"evaluate.dtw_cosine"}
+    assert expected - {span[1] for span in spans.spans} == set()
 
 
 class TestDefaultConfig:
