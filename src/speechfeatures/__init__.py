@@ -7,7 +7,22 @@ unsupervised per-speaker frequency warp normalization backed by a diagonal
 GMM, a features data model with CSV and binary serialization, a batch
 extraction pipeline with a command line front end, and evaluation metrics
 (pitch MAE/GER, DTW-cosine ABX discrimination).
+
+Importing the package pins the BLAS to one thread per process: extraction
+runs in parallel through `--njobs` worker processes, and a BLAS thread per
+CPU in each of them would only oversubscribe the cores. A variable the
+caller has already set is kept; a program that imports numpy before this
+package keeps the BLAS threads numpy started with.
 """
+
+import os
+
+# read by the BLAS libraries numpy links against when numpy is first loaded
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                         "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+                         "OMP_NUM_THREADS")
+for _name in BLAS_THREAD_VARIABLES:
+    os.environ.setdefault(_name, "1")
 
 from .audio import (Audio, Utterance, Utterances, WavChannelError,
                     WavEncodingError, WavFormatError, load_wav,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .audio import parse_utterances
 from .evaluate import PitchEval, abx_score, ger, load_triplets, mae
-from .features import TIME_TOLERANCE, load_collection, read_text
+from .features import FORMATS, TIME_TOLERANCE, load_collection, read_text
 from .pipeline import (FEATURE_OPTIONS, ExtractionError, config_to_text,
                        default_config, extract_features, read_config,
                        write_config)
@@ -49,7 +49,7 @@ def _build_parser():
                       help="number of parallel workers (default 1)")
     extr.add_argument("--seed", type=int, default=None,
                       help="override the configuration seed")
-    extr.add_argument("--format", choices=["csv", "binary"], default="binary",
+    extr.add_argument("--format", choices=FORMATS, default="binary",
                       help="output serialization format (default binary)")
 
     ev = sub.add_parser("eval", help="evaluation metrics")

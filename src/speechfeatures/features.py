@@ -320,3 +320,5 @@ def _load_binary(path):
 
 
 _CODECS = {"csv": (_save_csv, _load_csv), "binary": (_save_binary, _load_binary)}
+# the format names save_collection and load_collection accept
+FORMATS = tuple(_CODECS)

@@ -12,6 +12,7 @@ the utterance name.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -307,6 +308,16 @@ def _extract_task(args):
         return utt.name, None, _failure(err)
 
 
+@contextlib.contextmanager
+def _mapper(workers):
+    """The builtin `map`, or the `map` of a pool of `workers` (> 1) processes."""
+    if workers <= 1:
+        yield map
+        return
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        yield pool.map
+
+
 def extract_features(config, utterances, njobs=1):
     """Run the configured pipeline over an utterance manifest.
 
@@ -316,6 +327,9 @@ def extract_features(config, utterances, njobs=1):
     configured scope. Results are keyed by utterance name and identical for
     any njobs. Raises ExtractionError with per-utterance diagnostics if any
     utterance fails.
+
+    With njobs > 1 one pool of min(njobs, number of utterances) worker
+    processes serves the warp search and the extraction.
     """
     if njobs < 1:
         raise ValueError(f"njobs must be >= 1, got {njobs}")
@@ -327,24 +341,20 @@ def extract_features(config, utterances, njobs=1):
         raise ValueError(
             "this configuration requires speaker information in the manifest")
 
-    warps = {name: 1.0 for name in (u.name for u in utterances)}
-    if config.vtln is not None:
-        extractor = functools.partial(
-            _warped_mfccs, opts=MfccOptions(sample_rate=config.options.sample_rate),
-            seed=derive_seed(config.seed, "::vtln-features"))
-        speaker_warps = estimate_warps(
-            utterances, extractor, config.vtln,
-            seed=derive_seed(config.seed, "::vtln-ubm"))
-        warps = {u.name: speaker_warps[u.speaker] for u in utterances}
-
-    tasks = [(config, utt, warps[utt.name]) for utt in utterances]
     # the pool forks all its workers at once, so start no idle ones
-    workers = min(njobs, len(tasks))
-    if workers <= 1:
-        outcomes = [_extract_task(task) for task in tasks]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_extract_task, tasks))
+    with _mapper(min(njobs, len(utterances))) as mapper:
+        warps = {name: 1.0 for name in (u.name for u in utterances)}
+        if config.vtln is not None:
+            extractor = functools.partial(
+                _warped_mfccs, opts=MfccOptions(sample_rate=config.options.sample_rate),
+                seed=derive_seed(config.seed, "::vtln-features"))
+            speaker_warps = estimate_warps(
+                utterances, extractor, config.vtln,
+                seed=derive_seed(config.seed, "::vtln-ubm"), mapper=mapper)
+            warps = {u.name: speaker_warps[u.speaker] for u in utterances}
+
+        outcomes = list(mapper(_extract_task, [(config, utt, warps[utt.name])
+                                               for utt in utterances]))
 
     failures = {name: message for name, _, message in outcomes if message}
     if failures:

@@ -10,6 +10,7 @@ features between rounds. Training is unsupervised throughout.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,10 @@ class ExtractionError(RuntimeError):
         lines = [f"{name}: {message}" for name, message in self.failures.items()]
         super().__init__("extraction failed for {} utterance(s):\n  {}".format(
             len(lines), "\n  ".join(lines)))
+
+    def __reduce__(self):
+        # rebuilt from the failures, so the error crosses a process pool
+        return type(self), (self.failures,)
 
 
 @dataclass(frozen=True)
@@ -257,7 +262,7 @@ def select_warp(grid, scores):
     return best_warp
 
 
-def estimate_warps(utterances, extractor, opts=None, seed=0):
+def estimate_warps(utterances, extractor, opts=None, seed=0, mapper=map):
     """Estimate one frequency warp factor per speaker, unsupervised.
 
     `extractor` is a deterministic callable (utterance, warps) -> [one
@@ -267,6 +272,11 @@ def estimate_warps(utterances, extractor, opts=None, seed=0):
     against a UBM trained on the frames at the selected warps (1.0 for
     everyone at first), and keeps the most likely warp and only its frames.
     Ties prefer the warp closest to 1.0, then the smaller warp.
+
+    The first pass goes through `mapper`, called like the builtin `map`
+    (its default) with one task per utterance; with a process pool's `map`,
+    `extractor` must be picklable. The rounds run in the calling process.
+    The result does not depend on `mapper`.
 
     A round depends only on the warp map before it, so once a round repeats
     any earlier map the remaining rounds would cycle: the search stops there
@@ -293,11 +303,10 @@ def estimate_warps(utterances, extractor, opts=None, seed=0):
         for speaker, utts in sorted(utterances.by_speaker().items())}
 
     unwarped, failures = {}, {}
-    for u in utterances:
-        try:
-            unwarped[u.name] = extractor(u, [1.0])[0]
-        except ExtractionError as err:
-            failures.update(err.failures)
+    for u, (frames, failed) in zip(utterances, mapper(
+            functools.partial(_unwarped_frames, extractor), utterances)):
+        unwarped[u.name] = frames
+        failures.update(failed)
     if failures:
         raise ExtractionError(failures)
     history = [{speaker: 1.0 for speaker in by_speaker}]
@@ -309,6 +318,8 @@ def estimate_warps(utterances, extractor, opts=None, seed=0):
         corpus_mean = train_data.mean(axis=0)
         corpus_std = np.maximum(train_data.std(axis=0), 1e-10)
 
+        # in this process: per-speaker rounds in a worker pool measured
+        # slower (ROADMAP, measured dead ends)
         warps = {}
         for speaker, utts in by_speaker.items():
             frames = [np.vstack(per_warp)
@@ -323,6 +334,15 @@ def estimate_warps(utterances, extractor, opts=None, seed=0):
             return history[first + (opts.num_iters - first) % period]
         history.append(warps)
     return history[-1]
+
+
+def _unwarped_frames(extractor, utt):
+    """The first pass's task: (frames of `utt` at warp 1.0, {}), or
+    (None, its failures) when the extractor raises ExtractionError."""
+    try:
+        return extractor(utt, [1.0])[0], {}
+    except ExtractionError as err:
+        return None, err.failures
 
 
 def _warp_score(gmm, frames, corpus_mean, corpus_std, opts):

@@ -1,3 +1,4 @@
+import argparse
 import os
 import re
 import shutil
@@ -8,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from speechfeatures import FeaturesCollection, write_wav
-from speechfeatures.cli import main
+from speechfeatures import BLAS_THREAD_VARIABLES, FeaturesCollection, write_wav
+from speechfeatures.cli import _build_parser, main
+from speechfeatures.features import _CODECS
 
 from conftest import make_voweled
 
@@ -133,6 +135,13 @@ class TestExtractCommand:
                      str(small_corpus), str(outdir)]) == 0
         assert (outdir / "utt1.csv").exists()
         assert (outdir / "utt2.json").exists()
+
+    def test_format_choices_are_the_codec_formats(self):
+        sub = next(action for action in _build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        [fmt] = [action for action in sub.choices["extract"]._actions
+                 if action.dest == "format"]
+        assert list(fmt.choices) == list(_CODECS)
 
     def test_seed_override_changes_dither(self, tmp_path, small_corpus):
         config = tmp_path / "config.txt"
@@ -426,3 +435,25 @@ def test_import_loads_only_stdlib_and_numpy():
     loaded = set(result.stdout.split())
     assert "speechfeatures" in loaded
     assert loaded - set(sys.stdlib_module_names) <= {"numpy", "speechfeatures"}
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_import_pins_blas_threads(preset, expected):
+    # a fresh interpreter, so that numpy is first imported by the package
+    code = ("import os\n"
+            "import speechfeatures\n"
+            "tasks = '/proc/self/task'\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'],\n"
+            "      len(os.listdir(tasks)) if os.path.isdir(tasks) else '-')\n")
+    env = {name: value for name, value in os.environ.items()
+           if name not in BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    value, threads = result.stdout.split()
+    assert value == expected
+    if preset is None and threads != "-":
+        assert threads == "1"

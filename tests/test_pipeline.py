@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import importlib.util
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -356,7 +357,9 @@ class TestExtractFeatures:
     def test_workers_capped_at_utterance_count(self, corpus, monkeypatch,
                                                njobs, count, pools):
         class InlinePool:
-            """Records the pool size asked for and maps in this process."""
+            """Records the pool size asked for and the tasks of each map,
+            and maps in this process what a worker would receive: the
+            function and tasks, and then the results, pickled."""
             def __init__(self, max_workers):
                 pools_made.append(max_workers)
 
@@ -367,17 +370,23 @@ class TestExtractFeatures:
                 return False
 
             def map(self, func, tasks):
-                return map(func, tasks)
+                func, tasks = pickle.loads(pickle.dumps((func, list(tasks))))
+                maps.append(getattr(func, "func", func).__name__)
+                return pickle.loads(pickle.dumps([func(task) for task in tasks]))
 
-        pools_made = []
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         utterances = Utterances(list(corpus)[:count])
-        coll = extract_features(default_config("mfcc"), utterances, njobs=njobs)
-        assert pools_made == pools
-        serial = extract_features(default_config("mfcc"), utterances)
-        assert list(coll) == list(serial)
-        for name in coll:
-            assert coll[name] == serial[name]
+        for config in default_config("mfcc"), small_vtln_config():
+            pools_made, maps = [], []
+            coll = extract_features(config, utterances, njobs=njobs)
+            assert pools_made == pools
+            # one pool serves the warp search's first pass and the extraction
+            searched = ["_unwarped_frames"] if config.vtln else []
+            assert maps == (searched + ["_extract_task"] if pools else [])
+            serial = extract_features(config, utterances)
+            assert list(coll) == list(serial)
+            for name in coll:
+                assert coll[name] == serial[name]
 
     def test_bad_njobs(self, corpus):
         with pytest.raises(ValueError):
@@ -389,9 +398,10 @@ class TestExtractFeatures:
                                       seed=3),
                        small_vtln_config(seed=3)):
             forward = extract_features(config, corpus)
-            backward = extract_features(config, reversed_corpus)
-            assert set(forward) == set(backward)
-            for name in forward:
-                assert np.array_equal(forward[name].data, backward[name].data)
-                assert (forward[name].properties.get("vtln_warp")
-                        == backward[name].properties.get("vtln_warp"))
+            for njobs in (1, 2) if config.vtln else (1,):
+                backward = extract_features(config, reversed_corpus, njobs=njobs)
+                assert set(forward) == set(backward)
+                for name in forward:
+                    assert np.array_equal(forward[name].data, backward[name].data)
+                    assert (forward[name].properties.get("vtln_warp")
+                            == backward[name].properties.get("vtln_warp"))

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -497,6 +498,15 @@ class TestSerialization:
         path = tmp_path / "warps.txt"
         path.write_bytes(b"alice 0.97\n\xe9ve 1.02\n")
         assert "can't decode" in error_naming_file(path, load_warps, path)
+
+    def test_extraction_error_pickle_round_trip(self):
+        # a failure raised in a pool worker reaches the caller pickled
+        error = ExtractionError({"u1": "ValueError: too short", "u2": "x"})
+        back = pickle.loads(pickle.dumps(error))
+        assert type(back) is ExtractionError
+        assert back.failures == error.failures
+        assert list(back.failures) == ["u1", "u2"]
+        assert str(back) == str(error)
 
     def test_gmm_round_trip(self, tmp_path):
         data = two_cluster_data(2000)
