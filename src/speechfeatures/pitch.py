@@ -36,6 +36,13 @@ _INTERP_WIDTH = 4
 # centered window length of the log-pitch moving average, in frames
 _NORMALIZATION_WINDOW = 151
 
+# states per row block of the Viterbi sweep: a block's sums fit in cache
+_VITERBI_BLOCK = 64
+
+# multiple of eps * max|transition + forward| that the smallest Monge gap
+# of the transition must exceed, far above the 4u of rounding it covers
+_MONOTONE_MARGIN = 64
+
 
 @dataclass(frozen=True)
 class PitchOptions:
@@ -62,6 +69,13 @@ class PitchOptions:
                              f"got {self.resample_freq}")
         if self.delta_pitch <= 0:
             raise ValueError(f"delta_pitch must be > 0, got {self.delta_pitch}")
+        for key in ("penalty_factor", "nccf_ballast"):
+            value = getattr(self, key)
+            if not 0 <= value < np.inf:
+                raise ValueError(f"{key} must be finite and >= 0, got {value}")
+        if not 0 <= self.soft_min_f0 <= self.min_f0:
+            raise ValueError(f"soft_min_f0 must be in [0, min_f0 = "
+                             f"{self.min_f0}], got {self.soft_min_f0}")
 
     def check_framing(self, framing):
         """Raise ValueError unless `framing` suits pitch tracking.
@@ -145,21 +159,69 @@ def _frame_nccf(signal, frame_starts, window_size, int_lags, ballast):
     return normalize(0.0), normalize(ballast)
 
 
+def _monotone_argmins(local, transition):
+    """Whether the Viterbi's row argmins provably never decrease.
+
+    The argmins are those of the computed rows T[j] + F, T = `transition`
+    and F the forward costs of any frame of `local`, ties to the lowest
+    index. Rows j < j' with argmins a > b would make the rectangle gap
+    T[j,a] + T[j',b] - T[j,b] - T[j',a] smaller than the rounding error of
+    the four sums compared, 4u max|T + F|. That gap is a sum of adjacent
+    gaps T[j,i+1] + T[j+1,i] - T[j,i] - T[j+1,i+1], so it is enough that
+    the smallest adjacent gap exceeds a wide multiple of eps times a bound
+    on |T + F| over all frames. A squared log-lag penalty passes (a strict
+    Monge array); a zero penalty, repeated lags, |i - j| costs and NaN fail.
+    """
+    m, n = local.shape
+    peak_local = np.maximum(local.max(axis=1), -local.min(axis=1)).sum()
+    peak_transition = max(transition.max(), -transition.min())
+    threshold = (_MONOTONE_MARGIN * np.finfo(np.float64).eps
+                 * (peak_local + (m + 1) * peak_transition))
+    for s in range(0, n - 1, _VITERBI_BLOCK):
+        rows = transition[s:s + _VITERBI_BLOCK + 1]
+        gaps = (rows[:-1, 1:] + rows[1:, :-1]) - (rows[:-1, :-1] + rows[1:, 1:])
+        if not gaps.min() > threshold:
+            return False
+    return True
+
+
 def _viterbi(local, transition):
     """Least-cost state path for [frames, states] local costs.
 
     `transition` must be exactly symmetric: row j then holds the costs of
     reaching state j from every state, so each state's best predecessor is
     found along a contiguous row. Ties go to the lowest state index.
+
+    Rows are swept in blocks of _VITERBI_BLOCK states. When the argmins are
+    monotone (`_monotone_argmins`), those of a block lie between the
+    argmins of the last row of the previous block and of its own last row,
+    so only those columns are summed; otherwise every block spans the row.
     """
     m, n = local.shape
     states = np.arange(n)
     back = np.zeros((m, n), dtype=np.int64)
+    starts = list(range(0, n, _VITERBI_BLOCK))
+    stops = starts[1:] + [n]
+    last_rows = transition[np.array(stops) - 1]
+    last_total = np.empty_like(last_rows)
+    buffer = np.empty(_VITERBI_BLOCK * n)
+    lows, highs = [0] * len(starts), [n] * len(starts)
+    bounded = _monotone_argmins(local, transition)
     forward = local[0]
     for f in range(1, m):
-        total = transition + forward[None, :]
-        back[f] = np.argmin(total, axis=1)
-        forward = local[f] + total[states, back[f]]
+        if bounded:
+            np.add(last_rows, forward, out=last_total)
+            edges = last_total.argmin(axis=1).tolist()
+            lows = [0] + edges[:-1]
+            highs = [edge + 1 for edge in edges]
+        for s, e, lo, hi in zip(starts, stops, lows, highs):
+            total = buffer[:(e - s) * (hi - lo)].reshape(e - s, hi - lo)
+            np.add(transition[s:e, lo:hi], forward[lo:hi], out=total)
+            block = back[f, s:e]
+            total.argmin(axis=1, out=block)
+            block += lo
+        best = back[f]
+        forward = local[f] + (transition[states, best] + forward[best])
 
     path = np.empty(m, dtype=np.int64)
     path[-1] = int(np.argmin(forward))

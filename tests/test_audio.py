@@ -79,6 +79,23 @@ class TestLoadWav:
         with pytest.raises(WavEncodingError):
             load_wav(path)
 
+    @pytest.mark.parametrize("data, message", [
+        # the data chunk declares 16 bytes and holds 12
+        (wav_bytes(np.zeros(8, "<i2").tobytes())[:-4], "truncated chunk b'data'"),
+        (b"RIFF" + struct.pack("<I", 28) + b"WAVE"
+         + b"fmt " + struct.pack("<IHHI", 8, 1, 1, 16000)
+         + b"data" + struct.pack("<I", 0), "fmt chunk too short"),
+        (wav_bytes(b"")[:-8], "missing fmt or data chunk"),
+        (wav_bytes(b"")[:12] + wav_bytes(b"")[-8:], "missing fmt or data chunk"),
+        (wav_bytes(np.zeros(4, "<i2").tobytes(), rate=0), "invalid sample rate 0"),
+    ], ids=["truncated-chunk", "short-fmt", "no-data", "no-fmt", "zero-rate"])
+    def test_format_errors_name_the_file(self, tmp_path, data, message):
+        path = tmp_path / "x.wav"
+        path.write_bytes(data)
+        with pytest.raises(WavFormatError) as info:
+            load_wav(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(1)
         ints = rng.integers(-32768, 32768, size=2000).astype("<i2")

@@ -259,6 +259,21 @@ class TestExtractCommand:
                               "expected a finite float")
         assert not (tmp_path / "out.bin").exists()
 
+    def test_negative_penalty_fails_naming_file_block_and_key(
+            self, tmp_path, small_corpus, capsys):
+        config = tmp_path / "config.txt"
+        main(["config", "mfcc", "--pitch", "kaldi", "-o", str(config)])
+        text = config.read_text()
+        assert text.count("penalty_factor: 0.1\n") == 1
+        config.write_text(text.replace("penalty_factor: 0.1\n",
+                                       "penalty_factor: -1.0\n"))
+        assert main(["extract", str(config), str(small_corpus),
+                     str(tmp_path / "out.bin")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"speech-features: error: {config}: pitch: "
+                              "penalty_factor must be finite and >= 0")
+        assert not (tmp_path / "out.bin").exists()
+
     def test_pitch_follows_the_feature_framing(self, tmp_path, small_corpus):
         config = tmp_path / "config.txt"
         output = tmp_path / "features.bin"

@@ -123,6 +123,26 @@ class TestEstimatePitch:
         with pytest.raises(ValueError, match="resample_freq .*4000.5"):
             PitchOptions(resample_freq=4000.5)
 
+    @pytest.mark.parametrize("kwargs, key", [
+        ({"penalty_factor": -1.0}, "penalty_factor"),
+        ({"penalty_factor": np.inf}, "penalty_factor"),
+        ({"penalty_factor": np.nan}, "penalty_factor"),
+        ({"nccf_ballast": -5.0}, "nccf_ballast"),
+        ({"nccf_ballast": np.inf}, "nccf_ballast"),
+        ({"soft_min_f0": -1.0}, "soft_min_f0"),
+        ({"soft_min_f0": 60.0}, "soft_min_f0"),
+        ({"soft_min_f0": np.nan}, "soft_min_f0"),
+    ], ids=["negative-penalty", "infinite-penalty", "nan-penalty",
+            "negative-ballast", "infinite-ballast", "negative-soft-min",
+            "soft-min-above-min-f0", "nan-soft-min"])
+    def test_meaningless_costs_rejected(self, kwargs, key):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            PitchOptions(**kwargs)
+
+    def test_cost_range_edges_accepted(self):
+        PitchOptions(penalty_factor=0.0, nccf_ballast=0.0, soft_min_f0=0.0)
+        PitchOptions(soft_min_f0=50.0)
+
     def test_f0_bounds_invariant(self):
         opts = PitchOptions()
         for seed in range(3):
@@ -188,6 +208,131 @@ class TestViterbiExact:
                                   columnwise_viterbi(local, transition))
 
 
+INTERPOLATION_OPTIONS = [
+    PitchOptions(),
+    PitchOptions(min_f0=60.0, max_f0=500.0, delta_pitch=0.01),
+    PitchOptions(lowpass_cutoff=2000.0, resample_freq=8000.0),
+]
+INTERPOLATION_IDS = ["default", "narrow", "8k"]
+
+
+def recorded_viterbi_inputs(audio, opts, monkeypatch):
+    """The (local, transition) pair estimate_pitch hands to the Viterbi."""
+    calls = []
+    viterbi = pitch._viterbi
+
+    def recording(local, transition):
+        calls.append((local, transition))
+        return viterbi(local, transition)
+
+    monkeypatch.setattr(pitch, "_viterbi", recording)
+    estimate_pitch(audio, opts)
+    (inputs,) = calls
+    return inputs
+
+
+def squared_log_lag_transition(lags, penalty=0.1):
+    log_lags = np.log(lags)
+    return penalty * (log_lags[None, :] - log_lags[:, None]) ** 2
+
+
+class TestMonotoneGuard:
+    """The check that lets the Viterbi sweep bounded column ranges."""
+
+    @pytest.mark.parametrize("opts", INTERPOLATION_OPTIONS,
+                             ids=INTERPOLATION_IDS)
+    def test_accepts_the_tracker_costs(self, opts, monkeypatch):
+        local, transition = recorded_viterbi_inputs(make_tone(220), opts,
+                                                    monkeypatch)
+        assert pitch._monotone_argmins(local, transition)
+
+    def test_refuses_zero_penalty(self, monkeypatch):
+        local, transition = recorded_viterbi_inputs(
+            make_tone(220), PitchOptions(penalty_factor=0.0), monkeypatch)
+        assert not transition.any()
+        assert not pitch._monotone_argmins(local, transition)
+
+    def test_refuses_repeated_lags(self):
+        lags = pitch._lag_grid(PitchOptions())
+        lags = np.insert(lags, 100, lags[100])
+        local = np.random.default_rng(0).random((5, len(lags)))
+        assert not pitch._monotone_argmins(
+            local, squared_log_lag_transition(lags))
+
+    def test_refuses_absolute_difference(self):
+        states = np.arange(100)
+        transition = np.abs(states[:, None] - states[None, :]).astype(np.float64)
+        local = np.random.default_rng(0).random((5, 100))
+        assert not pitch._monotone_argmins(local, transition)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_refuses_non_finite_costs(self, bad):
+        lags = pitch._lag_grid(PitchOptions())
+        local = np.random.default_rng(0).random((5, len(lags)))
+        local[3, 7] = bad
+        assert not pitch._monotone_argmins(
+            local, squared_log_lag_transition(lags))
+
+    def test_refuses_costs_beyond_the_margin(self):
+        # the same transition passes under costs of order one
+        transition = squared_log_lag_transition(
+            pitch._lag_grid(PitchOptions()))
+        local = np.ones((5, transition.shape[0]))
+        assert pitch._monotone_argmins(local, transition)
+        assert not pitch._monotone_argmins(1e12 * local, transition)
+
+    def test_full_rows_give_the_same_path(self, monkeypatch):
+        audio = Audio(make_tone(180, duration=1.0).samples
+                      + make_noise(duration=1.0, amplitude=0.3, seed=3).samples,
+                      16000)
+        local, transition = recorded_viterbi_inputs(audio, None, monkeypatch)
+        bounded = pitch._viterbi(local, transition)
+        monkeypatch.setattr(pitch, "_monotone_argmins", lambda *args: False)
+        assert np.array_equal(pitch._viterbi(local, transition), bounded)
+
+
+def random_viterbi_cases(rng):
+    """(local, transition) pairs around the block size, ties included."""
+    block = pitch._VITERBI_BLOCK
+    for n in (1, 2, block - 1, block, block + 1, 2 * block, 3 * block + 5):
+        lags = np.exp(np.arange(n) * np.log1p(rng.uniform(0.002, 0.05))) / 400
+        yield rng.random((int(rng.integers(1, 30)), n)), \
+            squared_log_lag_transition(lags)
+        states = np.arange(n, dtype=np.float64)
+        ties = rng.integers(0, 3, (int(rng.integers(2, 30)), n))
+        yield ties.astype(np.float64), (states[:, None] - states[None, :]) ** 2
+        yield ties.astype(np.float64), np.abs(states[:, None] - states[None, :])
+    for opts in INTERPOLATION_OPTIONS + [PitchOptions(delta_pitch=0.05),
+                                         PitchOptions(penalty_factor=2.0)]:
+        lags = pitch._lag_grid(opts)
+        transition = squared_log_lag_transition(lags, opts.penalty_factor)
+        m = int(rng.integers(1, 25))
+        yield rng.integers(0, 2, (m, len(lags))).astype(np.float64), transition
+        yield 1e6 * rng.standard_normal((m, len(lags))), transition
+        yield 1.0 - rng.random((m, len(lags))) * (1.0 - 10.0 * lags), \
+            transition
+
+
+class TestViterbiRandomized:
+    """The block sweep picks the column-wise path on random costs."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_columnwise(self, seed):
+        cases = list(random_viterbi_cases(np.random.default_rng(seed)))
+        for local, transition in cases:
+            assert np.array_equal(pitch._viterbi(local, transition),
+                                  columnwise_viterbi(local, transition))
+        # both the bounded and the full-row sweep are exercised
+        bounded = sum(pitch._monotone_argmins(*case) for case in cases)
+        assert 20 <= bounded < len(cases)
+
+    def test_single_frame_and_single_state(self):
+        assert pitch._viterbi(np.array([[3.0, 1.0, 1.0]]), np.zeros((3, 3))) \
+            .tolist() == [1]
+        assert pitch._viterbi(np.zeros((4, 1)), np.zeros((1, 1))) \
+            .tolist() == [0, 0, 0, 0]
+
+
 def full_grid_interpolation_matrix(grid_samples, int_lags, width):
     """Reference lag interpolation: the kernel over the whole grid x lags."""
     delta = grid_samples[:, None] - int_lags[None, :]
@@ -201,11 +346,8 @@ def full_grid_interpolation_matrix(grid_samples, int_lags, width):
 class TestInterpolationExact:
     """The lag interpolation takes the resampler's kernel, bit for bit."""
 
-    @pytest.mark.parametrize("opts", [
-        PitchOptions(),
-        PitchOptions(min_f0=60.0, max_f0=500.0, delta_pitch=0.01),
-        PitchOptions(lowpass_cutoff=2000.0, resample_freq=8000.0),
-    ], ids=["default", "narrow", "8k"])
+    @pytest.mark.parametrize("opts", INTERPOLATION_OPTIONS,
+                             ids=INTERPOLATION_IDS)
     def test_matches_full_grid_formula(self, opts, monkeypatch):
         calls = []
         interpolation = pitch._interpolation_matrix

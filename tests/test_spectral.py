@@ -260,6 +260,23 @@ class TestSpectrogram:
         with pytest.raises(ValueError, match="short"):
             spectrogram(Audio(np.zeros(100), 16000))
 
+    @pytest.mark.parametrize("raw_energy, expected", [
+        # DC removed: [-1.5, 0.5, -0.5, 1.5]
+        (True, math.log(5.0)),
+        # pre-emphasis 0.5 gives [-0.75, 1.25, -0.75, 1.75]; the 4-point
+        # hamming window is [0.08, 0.77, 0.77, 0.08]
+        (False, math.log(0.06 ** 2 + 0.9625 ** 2 + 0.5775 ** 2 + 0.14 ** 2)),
+    ], ids=["raw", "windowed"])
+    def test_energy_hand_computed(self, raw_energy, expected):
+        audio = Audio(np.array([1.0, 3.0, 2.0, 4.0]) / 32768, 4000)
+        opts = SpectrogramOptions(
+            sample_rate=4000, frame_length=0.001, frame_shift=0.001,
+            dither=0.0, preemph_coeff=0.5, window_type="hamming",
+            raw_energy=raw_energy)
+        feats = spectrogram(audio, opts)
+        assert feats.data.shape == (1, 3)
+        assert feats.data[0, 0] == pytest.approx(expected, rel=1e-12)
+
 
 class TestFilterbank:
     def test_shape(self):
@@ -457,6 +474,19 @@ class TestPlp:
     def test_num_ceps_bounded_by_order(self):
         with pytest.raises(ValueError):
             PlpOptions(lpc_order=5, num_ceps=8)
+
+    def test_use_energy_replaces_c0(self):
+        audio = make_voweled(120, [700, 1200, 2600])
+        plain = plp(audio, PlpOptions(dither=0.0))
+        feats = plp(audio, PlpOptions(dither=0.0, use_energy=True))
+        assert np.array_equal(feats.data[:, 1:], plain.data[:, 1:])
+        # log energy of each DC-free 400-sample frame, in 16-bit scale
+        frames = np.lib.stride_tricks.sliding_window_view(
+            audio.samples * 32768, 400)[::160]
+        frames = frames - frames.mean(axis=1, keepdims=True)
+        assert np.allclose(feats.data[:, 0], np.log((frames ** 2).sum(axis=1)),
+                           rtol=1e-12, atol=0)
+        assert not np.allclose(feats.data[:, 0], plain.data[:, 0])
 
 
 class TestSharedTimes:
