@@ -12,7 +12,6 @@ the utterance name.
 from __future__ import annotations
 
 import concurrent.futures
-import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -24,10 +23,10 @@ from .audio import Utterances, load_wav, resample, segment
 from .features import FeaturesCollection, concatenate, read_text
 from .pitch import PitchOptions, PostPitchOptions, estimate_pitch, postprocess_pitch
 from .postproc import CmvnOptions, DeltaOptions, cmvn_apply, delta
-from .speaker import ExtractionError, VtlnOptions, estimate_warps
+from .speaker import ExtractionError, VtlnOptions, estimate_warps, warp_grid
 from .spectral import (FilterbankOptions, MfccOptions, PlpOptions,
                        SpectrogramOptions, _frame_spectra, _mfcc_stage,
-                       filterbank, mfcc, plp, spectrogram)
+                       compute_mel_banks, filterbank, mfcc, plp, spectrogram)
 
 __all__ = ["PipelineConfig", "ExtractionError", "default_config",
            "extract_features", "config_to_dict", "config_from_dict",
@@ -82,6 +81,20 @@ class PipelineConfig:
             raise ValueError("warp normalization is not available for spectrogram")
         if self.pitch is not None:
             self.pitch.check_framing(self.options)
+        if self.vtln is not None:
+            # every grid warp, not just the ends: a bank can lose a bin at
+            # one warp inside the grid; the search reuses the cached banks
+            for opts in self.options, _search_options(self):
+                for warp in warp_grid(self.vtln).tolist():
+                    try:
+                        compute_mel_banks(opts, warp)
+                    except ValueError as err:
+                        raise ValueError(f"vtln: warp {warp:g}: {err}") from err
+
+
+def _search_options(config):
+    """The MFCC options the warp search extracts with."""
+    return MfccOptions(sample_rate=config.options.sample_rate)
 
 
 def default_config(features, with_pitch=False, with_delta=False,
@@ -209,9 +222,9 @@ def _parse_tree(text):
         key, sep, value = raw.strip().partition(":")
         if not sep:
             raise ValueError(f"line {lineno}: expected 'key: value' or 'key:'")
-        while stack and stack[-1][0] >= level:
+        while stack[-1][0] >= level:
             stack.pop()
-        if not stack:
+        if stack[-1][0] != level - 1:  # deeper than its block's keys
             raise ValueError(f"line {lineno}: indentation does not match")
         _, parent = stack[-1]
         key, value = key.strip(), value.strip()
@@ -308,16 +321,6 @@ def _extract_task(args):
         return utt.name, None, _failure(err)
 
 
-@contextlib.contextmanager
-def _mapper(workers):
-    """The builtin `map`, or the `map` of a pool of `workers` (> 1) processes."""
-    if workers <= 1:
-        yield map
-        return
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        yield pool.map
-
-
 def extract_features(config, utterances, njobs=1):
     """Run the configured pipeline over an utterance manifest.
 
@@ -328,8 +331,9 @@ def extract_features(config, utterances, njobs=1):
     any njobs. Raises ExtractionError with per-utterance diagnostics if any
     utterance fails.
 
-    With njobs > 1 one pool of min(njobs, number of utterances) worker
-    processes serves the warp search and the extraction.
+    The warp search runs in the calling process. Then, with njobs > 1, one
+    pool of min(njobs, number of utterances) worker processes extracts the
+    utterances.
     """
     if njobs < 1:
         raise ValueError(f"njobs must be >= 1, got {njobs}")
@@ -341,20 +345,24 @@ def extract_features(config, utterances, njobs=1):
         raise ValueError(
             "this configuration requires speaker information in the manifest")
 
-    # the pool forks all its workers at once, so start no idle ones
-    with _mapper(min(njobs, len(utterances))) as mapper:
-        warps = {name: 1.0 for name in (u.name for u in utterances)}
-        if config.vtln is not None:
-            extractor = functools.partial(
-                _warped_mfccs, opts=MfccOptions(sample_rate=config.options.sample_rate),
-                seed=derive_seed(config.seed, "::vtln-features"))
-            speaker_warps = estimate_warps(
-                utterances, extractor, config.vtln,
-                seed=derive_seed(config.seed, "::vtln-ubm"), mapper=mapper)
-            warps = {u.name: speaker_warps[u.speaker] for u in utterances}
+    warps = {name: 1.0 for name in (u.name for u in utterances)}
+    if config.vtln is not None:
+        extractor = functools.partial(
+            _warped_mfccs, opts=_search_options(config),
+            seed=derive_seed(config.seed, "::vtln-features"))
+        speaker_warps = estimate_warps(
+            utterances, extractor, config.vtln,
+            seed=derive_seed(config.seed, "::vtln-ubm"))
+        warps = {u.name: speaker_warps[u.speaker] for u in utterances}
 
-        outcomes = list(mapper(_extract_task, [(config, utt, warps[utt.name])
-                                               for utt in utterances]))
+    tasks = [(config, utt, warps[utt.name]) for utt in utterances]
+    # the pool forks all its workers at once, so start no idle ones
+    workers = min(njobs, len(tasks))
+    if workers <= 1:
+        outcomes = list(map(_extract_task, tasks))
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_extract_task, tasks))
 
     failures = {name: message for name, _, message in outcomes if message}
     if failures:

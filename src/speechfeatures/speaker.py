@@ -10,7 +10,6 @@ features between rounds. Training is unsupervised throughout.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,10 +57,19 @@ class UbmOptions:
             raise ValueError(f"num_gauss must be >= 1, got {self.num_gauss}")
         if not 0 < self.initial_gauss_proportion <= 1:
             raise ValueError("initial_gauss_proportion must be in (0, 1]")
-        if self.num_iters < 0 or self.num_iters_init < 1:
-            raise ValueError("iteration counts must be positive")
+        if self.num_iters < 0:
+            raise ValueError(f"num_iters must be >= 0, got {self.num_iters}")
+        if self.num_iters_init < 1:
+            raise ValueError(
+                f"num_iters_init must be >= 1, got {self.num_iters_init}")
         if self.num_frames < 1:
             raise ValueError(f"num_frames must be >= 1, got {self.num_frames}")
+        # the heaviest component weighs at least 1/num_gauss, so EM always
+        # updates one; above that every component could stay frozen
+        if not 0 <= self.min_gaussian_weight <= 1 / self.num_gauss:
+            raise ValueError(
+                f"min_gaussian_weight must be in [0, 1/num_gauss] = "
+                f"[0, {1 / self.num_gauss}], got {self.min_gaussian_weight}")
 
 
 @dataclass(frozen=True)
@@ -76,9 +84,11 @@ class VtlnOptions:
     ubm: UbmOptions = field(default_factory=UbmOptions)
 
     def __post_init__(self):
-        if not self.min_warp < 1.0 < self.max_warp:
+        if self.min_warp <= 0:
+            raise ValueError(f"min_warp must be > 0, got {self.min_warp}")
+        if not self.min_warp < 1.0 < self.max_warp < np.inf:
             raise ValueError(
-                f"need min_warp < 1 < max_warp, got {self.min_warp} "
+                f"need min_warp < 1 < max_warp < inf, got {self.min_warp} "
                 f"and {self.max_warp}")
         if self.warp_step <= 0:
             raise ValueError(f"warp_step must be > 0, got {self.warp_step}")
@@ -262,7 +272,7 @@ def select_warp(grid, scores):
     return best_warp
 
 
-def estimate_warps(utterances, extractor, opts=None, seed=0, mapper=map):
+def estimate_warps(utterances, extractor, opts=None, seed=0):
     """Estimate one frequency warp factor per speaker, unsupervised.
 
     `extractor` is a deterministic callable (utterance, warps) -> [one
@@ -271,12 +281,8 @@ def estimate_warps(utterances, extractor, opts=None, seed=0, mapper=map):
     the whole grid. Each round scores every speaker's frames at every warp
     against a UBM trained on the frames at the selected warps (1.0 for
     everyone at first), and keeps the most likely warp and only its frames.
-    Ties prefer the warp closest to 1.0, then the smaller warp.
-
-    The first pass goes through `mapper`, called like the builtin `map`
-    (its default) with one task per utterance; with a process pool's `map`,
-    `extractor` must be picklable. The rounds run in the calling process.
-    The result does not depend on `mapper`.
+    Ties prefer the warp closest to 1.0, then the smaller warp. The whole
+    search runs in the calling process, so `extractor` need not pickle.
 
     A round depends only on the warp map before it, so once a round repeats
     any earlier map the remaining rounds would cycle: the search stops there
@@ -303,10 +309,11 @@ def estimate_warps(utterances, extractor, opts=None, seed=0, mapper=map):
         for speaker, utts in sorted(utterances.by_speaker().items())}
 
     unwarped, failures = {}, {}
-    for u, (frames, failed) in zip(utterances, mapper(
-            functools.partial(_unwarped_frames, extractor), utterances)):
-        unwarped[u.name] = frames
-        failures.update(failed)
+    for u in utterances:
+        try:
+            unwarped[u.name] = extractor(u, [1.0])[0]
+        except ExtractionError as err:
+            failures.update(err.failures)
     if failures:
         raise ExtractionError(failures)
     history = [{speaker: 1.0 for speaker in by_speaker}]
@@ -334,15 +341,6 @@ def estimate_warps(utterances, extractor, opts=None, seed=0, mapper=map):
             return history[first + (opts.num_iters - first) % period]
         history.append(warps)
     return history[-1]
-
-
-def _unwarped_frames(extractor, utt):
-    """The first pass's task: (frames of `utt` at warp 1.0, {}), or
-    (None, its failures) when the extractor raises ExtractionError."""
-    try:
-        return extractor(utt, [1.0])[0], {}
-    except ExtractionError as err:
-        return None, err.failures
 
 
 def _warp_score(gmm, frames, corpus_mean, corpus_std, opts):

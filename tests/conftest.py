@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from speechfeatures import Audio, write_wav
+from speechfeatures import Audio, read_config, write_wav
+from speechfeatures.pipeline import _render_tree, config_to_dict
 
 
 def make_tone(freq, duration=1.0, rate=16000, amplitude=0.5, phase=0.0):
@@ -51,6 +52,23 @@ def error_naming_file(path, func, *args):
     message = str(info.value)
     assert message.startswith(f"{path}: ")
     assert message.count(str(path)) == 1
+    return message
+
+
+def config_error(tmp_path, config, block, **edits):
+    """The message of the ValueError read_config raises on the text of
+    `config` with `edits` made in `block` (a block name, or a tuple of
+    nested ones); the message opens with the file and then the blocks."""
+    blocks = (block,) if isinstance(block, str) else block
+    tree = config_to_dict(config)
+    target = tree
+    for name in blocks:
+        target = target.setdefault(name, {})
+    target.update(edits)
+    path = tmp_path / "config.txt"
+    path.write_text("\n".join(_render_tree(tree)) + "\n")
+    message = error_naming_file(path, read_config, path)
+    assert message.startswith(f"{path}: " + "".join(f"{b}: " for b in blocks))
     return message
 
 

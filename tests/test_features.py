@@ -1,4 +1,6 @@
+import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -62,6 +64,19 @@ class TestInvariants:
         # a tuple loads back as a list; NaN and Infinity are not JSON
         with pytest.raises(ValueError, match="properties"):
             Features(np.zeros((1, 1)), np.array([0.0]), properties)
+
+
+def raw_item(name, times, data, time_columns=None, properties=None):
+    """One item of a binary container, packed by hand as _save_binary
+    would, with its time-column count stated as given."""
+    times, data = np.asarray(times, "<f8"), np.asarray(data, "<f8")
+    encoded = name.encode("utf-8")
+    blob = json.dumps(properties or {}).encode("utf-8")
+    return (struct.pack("<I", len(encoded)) + encoded
+            + struct.pack("<QIB", data.shape[0], data.shape[1],
+                          times.shape[1] if time_columns is None else time_columns)
+            + times.tobytes() + data.tobytes()
+            + struct.pack("<Q", len(blob)) + blob)
 
 
 class TestConcatenate:
@@ -194,6 +209,21 @@ class TestCsvFormat:
         with pytest.raises(OSError):
             save_collection(sample_collection(), blocker / "sub", format="csv")
 
+    def test_file_instead_of_directory_names_it(self, tmp_path):
+        path = tmp_path / "feats.bin"
+        sample_collection().save(path, format="binary")
+        with pytest.raises(FeaturesFormatError, match=re.escape(
+                f"{path}: not a directory of CSV features")):
+            load_collection(path, format="csv")
+
+    def test_directory_without_csv_names_it(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("no features here\n")
+        with pytest.raises(FeaturesFormatError, match=re.escape(
+                f"{out}: no CSV features found")):
+            load_collection(out, format="csv")
+
     def test_invariant_violation_on_load(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
@@ -253,6 +283,44 @@ class TestBinaryFormat:
         first = next(iter(coll))
         with pytest.raises(FeaturesFormatError,
                            match=re.escape(f"{path}: item {first!r}: bad properties")):
+            load_collection(path, format="binary")
+
+    def test_raw_item_matches_the_writer(self, tmp_path):
+        # the hand-packed items below are what the writer itself produces
+        path = tmp_path / "feats.bin"
+        feats = random_features(m=3, n=2)
+        FeaturesCollection({"u": feats}).save(path, format="binary")
+        assert path.read_bytes() == MAGIC + raw_item(
+            "u", feats.times, feats.data, properties=feats.properties)
+
+    @pytest.mark.parametrize("time_columns", [0, 3, 255])
+    def test_bad_time_column_count_names_file_and_item(self, tmp_path,
+                                                        time_columns):
+        path = tmp_path / "feats.bin"
+        path.write_bytes(MAGIC + raw_item("u", [[0.0]], [[1.0]], time_columns))
+        with pytest.raises(FeaturesFormatError, match=re.escape(
+                f"{path}: item 'u' has {time_columns} time columns")):
+            load_collection(path, format="binary")
+
+    def test_duplicate_item_names_file_and_item(self, tmp_path):
+        path = tmp_path / "feats.bin"
+        item = raw_item("u", [[0.0], [0.01]], [[1.0], [2.0]])
+        path.write_bytes(MAGIC + item + raw_item("v", [[0.0]], [[3.0]]) + item)
+        with pytest.raises(FeaturesFormatError, match=re.escape(
+                f"{path}: duplicate item name 'u'")):
+            load_collection(path, format="binary")
+
+    @pytest.mark.parametrize("times, message", [
+        ([[0.0], [0.0]], "times must be strictly increasing"),
+        ([[0.02], [0.01]], "times must be strictly increasing"),
+        ([[0.0, 0.02], [0.01, 0.01]], "onset < offset")])
+    def test_times_not_increasing_names_file_and_item(self, tmp_path, times,
+                                                       message):
+        path = tmp_path / "feats.bin"
+        path.write_bytes(MAGIC + raw_item("v", [[0.0]], [[3.0]])
+                         + raw_item("u", times, [[1.0], [2.0]]))
+        with pytest.raises(FeaturesFormatError, match=re.escape(
+                f"{path}: item 'u': ") + ".*" + re.escape(message)):
             load_collection(path, format="binary")
 
     def test_magic_is_shn1(self, tmp_path):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from speechfeatures import Audio, FrameOptions, extract_frames, num_frames, window_function
+from speechfeatures import (Audio, FrameOptions, default_config, extract_frames,
+                            num_frames, window_function)
 from speechfeatures.framing import TINY, WINDOW_TYPES, frame_times
 
-from conftest import make_tone
+from conftest import config_error, make_tone
 
 
 def enumerate_frames_snip(num_samples, size, shift):
@@ -174,6 +175,10 @@ class TestWindowFunction:
         with pytest.raises(ValueError):
             FrameOptions(window_type="kaiser")
 
+    def test_unknown_name_named(self):
+        with pytest.raises(ValueError, match="unknown window_type 'bogus'"):
+            window_function("bogus", 8)
+
 
 class TestExtractFrames:
     def test_constant_signal_zeroed_by_dc_removal(self):
@@ -267,6 +272,23 @@ class TestFrameOptions:
     def test_negative_dither(self):
         with pytest.raises(ValueError):
             FrameOptions(dither=-1.0)
+
+    @pytest.mark.parametrize("edits, message", [
+        # 9e-05 s at 16 kHz: a 1-sample frame shifted by 1 sample
+        ({"frame_shift": 9e-05, "frame_length": 9e-05},
+         "frame_length must cover at least 2 samples"),
+        ({"frame_shift": 0.05}, "need 0 < frame_shift <= frame_length"),
+        ({"frame_shift": 3e-05}, "frame_shift must cover at least 1 sample"),
+        ({"sample_rate": 0}, "sample_rate must be positive, got 0"),
+        ({"dither": -1.0}, "dither must be >= 0, got -1.0"),
+        ({"preemph_coeff": 1.5}, "preemph_coeff must be in [0, 1], got 1.5"),
+        ({"window_type": "kaiser"}, "unknown window_type 'kaiser'"),
+    ], ids=["frame-under-2-samples", "shift-over-length", "shift-under-1-sample",
+            "sample-rate", "dither", "preemph", "window-type"])
+    def test_config_errors_name_file_block_and_key(self, tmp_path, edits,
+                                                   message):
+        error = config_error(tmp_path, default_config("mfcc"), "mfcc", **edits)
+        assert message in error
 
     def test_window_size(self):
         opts = FrameOptions()

@@ -7,17 +7,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from speechfeatures import (Audio, ExtractionError, PipelineConfig, Utterance,
-                            Utterances, VtlnOptions, default_config,
+from speechfeatures import (Audio, ExtractionError, PipelineConfig,
+                            PitchOptions, Utterance, Utterances, VtlnOptions,
+                            compute_mel_banks, default_config,
                             extract_features, load_wav, mfcc, read_config,
                             write_config, write_wav)
+from speechfeatures import pipeline
 from speechfeatures.pipeline import (FEATURE_OPTIONS, _warped_mfccs,
                                      config_from_dict, config_to_dict,
-                                     derive_seed)
-from speechfeatures.speaker import warp_grid
-from speechfeatures.spectral import MfccOptions, SpectrogramOptions
+                                     config_to_text, derive_seed)
+from speechfeatures.speaker import estimate_warps, warp_grid
+from speechfeatures.spectral import MfccOptions, PlpOptions, SpectrogramOptions
 
-from conftest import error_naming_file, make_voweled
+from conftest import config_error, error_naming_file, make_voweled
 
 
 @pytest.fixture
@@ -134,6 +136,12 @@ class TestDefaultConfig:
         with pytest.raises(ValueError, match="options"):
             PipelineConfig(features="mfcc", options=SpectrogramOptions())
 
+    def test_pitch_without_post_processing_rejected(self):
+        with pytest.raises(ValueError, match="^pitch and pitch post-processing "
+                           "go together$"):
+            PipelineConfig(features="mfcc", options=MfccOptions(),
+                           pitch=PitchOptions())
+
     def test_vtln_defaults(self):
         config = default_config("mfcc", with_vtln=True)
         assert config.vtln.min_warp == 0.85
@@ -224,6 +232,62 @@ class TestConfigFile:
         with pytest.raises(ValueError,
                            match=f"line {line}: repeated key '{key}'"):
             read_config(path)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("  num_ceps: 13\n", "  num_ceps 13\n",
+         "line 20: expected 'key: value' or 'key:'"),
+        # deeper than the keys of the block it sits in
+        ("  num_ceps: 13\n", "    num_ceps: 13\n",
+         "line 20: indentation does not match"),
+        ("mfcc:\n", "mfcc:\n    sample_rate: 16000\n",
+         "line 4: indentation does not match"),
+    ], ids=["no-colon", "over-indented-after-value", "over-indented-block"])
+    def test_malformed_line_names_file_and_line(self, tmp_path, old, new,
+                                                message):
+        path = tmp_path / "config.txt"
+        write_config(default_config("mfcc"), path)
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+        assert error_naming_file(path, read_config, path) == f"{path}: {message}"
+
+    def test_pitch_post_processing_without_pitch_names_file(self, tmp_path):
+        path = tmp_path / "config.txt"
+        config = default_config("mfcc", with_pitch=True)
+        text = config_to_text(config)
+        start = text.index("pitch:\n")
+        end = text.index("pitch_postprocessing:\n")
+        path.write_text(text[:start] + text[end:])
+        assert error_naming_file(path, read_config, path) == (
+            f"{path}: pitch and pitch post-processing go together")
+
+    @pytest.mark.parametrize("options, edits, message", [
+        (MfccOptions(), {"min_warp": 0.05}, "warp 0.05: mel bin 4 has no FFT "
+         "bin support (nfft 512 too small)"),
+        # inside the grid: 0.41 and 0.43 build, 0.42 does not
+        (MfccOptions(sample_rate=8000, num_bins=60), {"min_warp": 0.41},
+         "warp 0.42: mel bin 36 has no FFT bin support (nfft 256 too small)"),
+        # the features' 512-point FFT builds at 0.1; the search's 256 does not
+        (MfccOptions(sample_rate=8000, frame_length=0.05), {"min_warp": 0.1},
+         "warp 0.1: mel bin 5 has no FFT bin support (nfft 256 too small)"),
+        (PlpOptions(vtln_low=2000.0, vtln_high=-3900.0), {"min_warp": 0.45},
+         "warp 0.45: vtln inflection points cross for warp 0.45"),
+    ], ids=["low-end", "inside-grid", "search-options", "inflections"])
+    def test_warp_grid_checked_at_load(self, tmp_path, options, edits, message):
+        features = {MfccOptions: "mfcc", PlpOptions: "plp"}[type(options)]
+        config = dataclasses.replace(default_config(features, with_vtln=True),
+                                     options=options)
+        error = config_error(tmp_path, config, "vtln", **edits)
+        assert f": vtln: {message}" in error
+
+    def test_grid_check_fills_the_search_cache(self, corpus):
+        # the search and the extraction build no bank the check did not
+        compute_mel_banks.cache_clear()
+        config = small_vtln_config(seed=5)
+        misses = compute_mel_banks.cache_info().misses
+        assert misses == len(warp_grid(config.vtln))
+        extract_features(config, corpus)
+        assert compute_mel_banks.cache_info().misses == misses
 
     def test_undecodable_config_names_file(self, tmp_path):
         path = tmp_path / "config.txt"
@@ -362,6 +426,7 @@ class TestExtractFeatures:
             function and tasks, and then the results, pickled."""
             def __init__(self, max_workers):
                 pools_made.append(max_workers)
+                events.append("pool")
 
             def __enter__(self):
                 return self
@@ -374,15 +439,22 @@ class TestExtractFeatures:
                 maps.append(getattr(func, "func", func).__name__)
                 return pickle.loads(pickle.dumps([func(task) for task in tasks]))
 
+        def recorded_search(*args, **kwargs):
+            warps = estimate_warps(*args, **kwargs)
+            events.append("search")
+            return warps
+
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(pipeline, "estimate_warps", recorded_search)
         utterances = Utterances(list(corpus)[:count])
         for config in default_config("mfcc"), small_vtln_config():
-            pools_made, maps = [], []
+            pools_made, maps, events = [], [], []
             coll = extract_features(config, utterances, njobs=njobs)
             assert pools_made == pools
-            # one pool serves the warp search's first pass and the extraction
-            searched = ["_unwarped_frames"] if config.vtln else []
-            assert maps == (searched + ["_extract_task"] if pools else [])
+            # the pool serves only the extraction, opened after the search
+            assert maps == (["_extract_task"] if pools else [])
+            searched = ["search"] if config.vtln else []
+            assert events == searched + ["pool"] * len(pools)
             serial = extract_features(config, utterances)
             assert list(coll) == list(serial)
             for name in coll:

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from speechfeatures import (Audio, FrameOptions, PitchOptions,
-                            PostPitchOptions, estimate_pitch, nccf_to_pov,
-                            num_frames, postprocess_pitch)
+                            PostPitchOptions, default_config, estimate_pitch,
+                            nccf_to_pov, num_frames, postprocess_pitch)
 from speechfeatures import pitch
 
-from conftest import assert_valid_features, make_noise, make_tone
+from conftest import (assert_valid_features, config_error, make_noise,
+                      make_tone)
 
 
 def two_tone_audio(f1=220.0, f2=330.0, rate=16000):
@@ -138,6 +139,27 @@ class TestEstimatePitch:
     def test_meaningless_costs_rejected(self, kwargs, key):
         with pytest.raises(ValueError, match=f"^{key} must be"):
             PitchOptions(**kwargs)
+
+    @pytest.mark.parametrize("block, edits, message", [
+        ("pitch", {"min_f0": 0.0}, "need 0 < min_f0 < max_f0, got 0.0 and 400.0"),
+        ("pitch", {"min_f0": 500.0}, "need 0 < min_f0 < max_f0, got 500.0 and 400.0"),
+        ("pitch", {"lowpass_cutoff": 300.0},
+         "need max_f0 < lowpass_cutoff <= resample_freq/2, got 400.0, 300.0"),
+        ("pitch", {"lowpass_cutoff": 2500.0},
+         "need max_f0 < lowpass_cutoff <= resample_freq/2, got 400.0, 2500.0"),
+        ("pitch", {"delta_pitch": 0.0}, "delta_pitch must be > 0, got 0.0"),
+        ("pitch_postprocessing", {"delta_window": 0},
+         "delta_window must be >= 1, got 0"),
+        ("pitch_postprocessing", {"delta_pitch_noise_stddev": -0.1},
+         "delta_pitch_noise_stddev must be >= 0"),
+    ], ids=["min-f0-zero", "min-f0-above-max", "cutoff-under-max-f0",
+            "cutoff-above-half-rate", "delta-pitch", "delta-window",
+            "noise-stddev"])
+    def test_config_errors_name_file_block_and_key(self, tmp_path, block,
+                                                   edits, message):
+        error = config_error(tmp_path, default_config("mfcc", with_pitch=True),
+                             block, **edits)
+        assert message in error
 
     def test_cost_range_edges_accepted(self):
         PitchOptions(penalty_factor=0.0, nccf_ballast=0.0, soft_min_f0=0.0)

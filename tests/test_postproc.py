@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from speechfeatures import (CmvnOptions, DeltaOptions, Features,
-                            FeaturesCollection, VadOptions, cmvn_apply, delta,
-                            vad)
+                            FeaturesCollection, VadOptions, cmvn_apply,
+                            default_config, delta, vad)
 
-from conftest import assert_valid_features
+from conftest import assert_valid_features, config_error
 
 
 def feats_from(matrix):
@@ -50,6 +50,17 @@ class TestDelta:
             DeltaOptions(order=0)
         with pytest.raises(ValueError):
             DeltaOptions(order=4)
+
+    @pytest.mark.parametrize("edits, message", [
+        ({"order": 0}, "order must be in [1, 3], got 0"),
+        ({"order": 4}, "order must be in [1, 3], got 4"),
+        ({"window": 0}, "window must be >= 1, got 0"),
+    ], ids=["order-0", "order-4", "window"])
+    def test_config_errors_name_file_block_and_key(self, tmp_path, edits,
+                                                   message):
+        error = config_error(tmp_path, default_config("mfcc", with_delta=True),
+                             "delta", **edits)
+        assert message in error
 
 
 class TestCmvn:

@@ -6,13 +6,13 @@ import pytest
 
 from speechfeatures import (DiagGmm, ExtractionError, Features,
                             FeaturesCollection, UbmOptions,
-                            Utterance, Utterances, VtlnOptions, estimate_warps,
-                            load_gmm, load_warps, save_gmm, save_warps,
-                            train_ubm)
+                            Utterance, Utterances, VtlnOptions, default_config,
+                            estimate_warps, load_gmm, load_warps, save_gmm,
+                            save_warps, train_ubm)
 from speechfeatures import speaker
 from speechfeatures.speaker import warp_grid
 
-from conftest import error_naming_file
+from conftest import config_error, error_naming_file
 
 
 def naive_loglike(gmm, frame):
@@ -187,6 +187,71 @@ class TestTrainUbm:
                                           remove_low_count_gaussians=False),
                          seed=0)
         assert kept.num_gauss == 8
+
+    @pytest.mark.parametrize("remove", [False, True])
+    def test_weight_floor_at_its_bound_still_trains(self, remove):
+        # the heaviest of num_gauss components weighs at least 1/num_gauss,
+        # so at that floor EM still moves it onto a cluster
+        data = two_cluster_data(2000)
+        gmm = train_ubm(data, UbmOptions(num_gauss=2, min_gaussian_weight=0.5,
+                                         remove_low_count_gaussians=remove),
+                        seed=0)
+        assert abs(gmm.means[:, 0].max() - 5.0) < 0.2
+        assert gmm.weights.sum() == pytest.approx(1.0, abs=1e-10)
+        if not remove:
+            assert abs(gmm.means[:, 0].min() - 0.0) < 0.2
+
+
+class TestOptionChecks:
+    @pytest.mark.parametrize("kwargs", [{"max_warp": np.inf},
+                                        {"max_warp": np.nan},
+                                        {"min_warp": np.nan}])
+    def test_non_finite_warp_bounds_rejected(self, kwargs):
+        # a config file cannot hold them, but the Python API can
+        with pytest.raises(ValueError, match=r"^need min_warp < 1 < max_warp < inf"):
+            VtlnOptions(**kwargs)
+
+    def test_weight_floor_edges_accepted(self):
+        UbmOptions(num_gauss=4, min_gaussian_weight=0.0)
+        UbmOptions(num_gauss=4, min_gaussian_weight=0.25)
+        UbmOptions(num_iters=0)
+
+    @pytest.mark.parametrize("block, edits, message", [
+        (("vtln", "ubm"), {"num_gauss": 0}, "num_gauss must be >= 1, got 0"),
+        (("vtln", "ubm"), {"initial_gauss_proportion": 0.0},
+         "initial_gauss_proportion must be in (0, 1]"),
+        (("vtln", "ubm"), {"initial_gauss_proportion": 1.5},
+         "initial_gauss_proportion must be in (0, 1]"),
+        (("vtln", "ubm"), {"num_iters": -1}, "num_iters must be >= 0, got -1"),
+        (("vtln", "ubm"), {"num_iters_init": 0},
+         "num_iters_init must be >= 1, got 0"),
+        (("vtln", "ubm"), {"num_frames": 0}, "num_frames must be >= 1, got 0"),
+        (("vtln", "ubm"), {"min_gaussian_weight": -0.1},
+         "min_gaussian_weight must be in [0, 1/num_gauss] = [0, 0.015625], "
+         "got -0.1"),
+        (("vtln", "ubm"), {"min_gaussian_weight": 1.5},
+         "min_gaussian_weight must be in [0, 1/num_gauss]"),
+        (("vtln", "ubm"), {"num_gauss": 8, "min_gaussian_weight": 0.2},
+         "min_gaussian_weight must be in [0, 1/num_gauss] = [0, 0.125], "
+         "got 0.2"),
+        ("vtln", {"min_warp": -0.5}, "min_warp must be > 0, got -0.5"),
+        ("vtln", {"min_warp": 0.0}, "min_warp must be > 0, got 0.0"),
+        ("vtln", {"min_warp": 1.0}, "need min_warp < 1 < max_warp < inf, got 1.0"),
+        ("vtln", {"max_warp": 0.95}, "need min_warp < 1 < max_warp < inf, got "
+         "0.85 and 0.95"),
+        ("vtln", {"warp_step": 0.0}, "warp_step must be > 0, got 0.0"),
+        ("vtln", {"norm_type": "bogus"}, "unknown norm_type 'bogus'"),
+        ("vtln", {"num_iters": 0}, "num_iters must be >= 1, got 0"),
+    ], ids=["num-gauss", "proportion-0", "proportion-over-1", "ubm-num-iters",
+            "num-iters-init", "num-frames", "negative-weight-floor",
+            "weight-floor-over-1", "weight-floor-over-1-over-num-gauss",
+            "negative-min-warp", "zero-min-warp", "min-warp-1", "max-warp-under-1",
+            "warp-step", "norm-type", "vtln-num-iters"])
+    def test_config_errors_name_file_block_and_key(self, tmp_path, block,
+                                                   edits, message):
+        error = config_error(tmp_path, default_config("mfcc", with_vtln=True),
+                             block, **edits)
+        assert message in error
 
 
 class SyntheticExtractor:

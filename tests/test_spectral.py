@@ -6,14 +6,15 @@ import pytest
 
 from speechfeatures import (Audio, FilterbankOptions, MelOptions, MfccOptions,
                             PlpOptions, SpectrogramOptions, compute_mel_banks,
-                            filterbank, inverse_mel, mel, mfcc, plp,
-                            spectrogram, vtln_warp_freq)
+                            default_config, filterbank, inverse_mel, mel, mfcc,
+                            plp, spectrogram, vtln_warp_freq)
 from speechfeatures.speaker import VtlnOptions, warp_grid
 from speechfeatures.spectral import (equal_loudness, levinson, lifter_coeffs,
                                      lpc_to_cepstrum, next_power_of_two,
                                      rasta_filter)
 
-from conftest import assert_valid_features, make_tone, make_voweled
+from conftest import (assert_valid_features, config_error, make_tone,
+                      make_voweled)
 
 
 def naive_dct_ortho(row, num_ceps):
@@ -475,6 +476,12 @@ class TestPlp:
         with pytest.raises(ValueError):
             PlpOptions(lpc_order=5, num_ceps=8)
 
+    def test_silence_without_dither_is_unstable(self):
+        # all-zero frames have a zero autocorrelation at lag 0
+        with pytest.raises(ValueError, match="^plp: unstable LPC analysis: "
+                           "non-positive zero-lag autocorrelation at frame 0"):
+            plp(Audio(np.zeros(4000), 16000), PlpOptions(dither=0.0))
+
     def test_use_energy_replaces_c0(self):
         audio = make_voweled(120, [700, 1200, 2600])
         plain = plp(audio, PlpOptions(dither=0.0))
@@ -487,6 +494,25 @@ class TestPlp:
         assert np.allclose(feats.data[:, 0], np.log((frames ** 2).sum(axis=1)),
                            rtol=1e-12, atol=0)
         assert not np.allclose(feats.data[:, 0], plain.data[:, 0])
+
+
+@pytest.mark.parametrize("features, edits, message", [
+    ("mfcc", {"num_bins": 2}, "num_bins must be >= 3, got 2"),
+    ("filterbank", {"low_freq": 9000.0},
+     "need 0 <= low_freq < high_freq <= nyquist, got 9000.0 and 8000.0"),
+    ("filterbank", {"vtln_low": 4000.0, "vtln_high": 3000.0},
+     "need vtln_low < vtln_high, got 4000.0 and 3000.0"),
+    # vtln_high -500 is relative to the 8 kHz Nyquist frequency
+    ("mfcc", {"vtln_low": 7600.0}, "need vtln_low < vtln_high, got 7600.0 and 7500.0"),
+    ("mfcc", {"num_ceps": 24}, "need 1 <= num_ceps <= num_bins, got 24 and 23"),
+    ("plp", {"lpc_order": 0}, "lpc_order must be >= 1, got 0"),
+    ("plp", {"num_ceps": 14}, "need 1 <= num_ceps <= lpc_order + 1, got 14"),
+], ids=["num-bins", "low-freq", "vtln-low-above-high", "vtln-low-above-relative-high",
+        "mfcc-num-ceps", "lpc-order", "plp-num-ceps"])
+def test_config_errors_name_file_block_and_key(tmp_path, features, edits,
+                                               message):
+    error = config_error(tmp_path, default_config(features), features, **edits)
+    assert message in error
 
 
 class TestSharedTimes:
