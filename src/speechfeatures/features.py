@@ -19,6 +19,8 @@ Binary container layout, little-endian throughout:
         f64 * m*n   data, row-major
         u64   byte length of the JSON properties blob
         ...   JSON properties
+
+The reader reads a regular file item by item, never the whole file at once.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import struct
 from collections import UserDict
 
@@ -37,6 +40,10 @@ __all__ = [
 ]
 
 MAGIC = b"SHN1"
+# the fixed-size fields of a binary item, in the layout of the module docstring
+NAME_LENGTH = struct.Struct("<I")  # byte length of the UTF-8 name
+SHAPE = struct.Struct("<QIB")  # frames m, channels n, time columns t
+BLOB_LENGTH = struct.Struct("<Q")  # byte length of the JSON properties
 
 # two Features "share times" when they differ by less than this, in seconds
 TIME_TOLERANCE = 1e-9
@@ -60,6 +67,10 @@ def read_text(path, parse):
             return parse(list(fp))
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from err
+
+
+PROPERTIES_RULE = ("properties must be a string-keyed tree of lists and "
+                   "scalars, with finite floats")
 
 
 def _valid_properties(node):
@@ -98,8 +109,7 @@ class Features:
             raise ValueError("each [onset, offset] row needs onset < offset")
         properties = {} if properties is None else properties
         if not _valid_properties(properties):
-            raise ValueError("properties must be a string-keyed tree of lists "
-                             "and scalars, with finite floats")
+            raise ValueError(PROPERTIES_RULE)
         data = data.copy()
         times = times.copy()
         data.flags.writeable = False
@@ -198,8 +208,16 @@ def save_collection(coll, path, format="binary"):
     frame per row, full precision) and one `<name>.json` properties file per
     item. With format="binary" a single container file is written (layout
     in the module docstring).
+
+    Every item's properties are checked first, as Features checks them,
+    since the tree may have been changed after construction: a ValueError
+    names the item and nothing is written.
     """
-    _codec(format)[0](coll, path)
+    save = _codec(format)[0]
+    for name, feats in coll.items():
+        if not _valid_properties(feats.properties):
+            raise ValueError(f"{name}: {PROPERTIES_RULE}")
+    save(coll, path)
 
 
 def load_collection(path, format="binary"):
@@ -260,62 +278,55 @@ def _save_binary(coll, path):
         fp.write(MAGIC)
         for name, feats in coll.items():
             encoded = name.encode("utf-8")
-            m, n = feats.data.shape
-            t = feats.times.shape[1]
-            fp.write(struct.pack("<I", len(encoded)))
-            fp.write(encoded)
-            fp.write(struct.pack("<QIB", m, n, t))
-            fp.write(np.ascontiguousarray(feats.times).tobytes())
-            fp.write(np.ascontiguousarray(feats.data).tobytes())
             blob = json.dumps(feats.properties).encode("utf-8")
-            fp.write(struct.pack("<Q", len(blob)))
-            fp.write(blob)
+            fp.write(NAME_LENGTH.pack(len(encoded)) + encoded)
+            fp.write(SHAPE.pack(*feats.data.shape, feats.times.shape[1]))
+            # the arrays' own C-ordered buffers; no copy on a little-endian host
+            fp.write(feats.times.astype("<f8", copy=False))
+            fp.write(feats.data.astype("<f8", copy=False))
+            fp.write(BLOB_LENGTH.pack(len(blob)) + blob)
 
 
 def _load_binary(path):
-    with open(path, "rb") as fp:
-        data = fp.read()
-    if data[:4] != MAGIC:
-        raise FeaturesFormatError(f"{path}: bad magic number, not a features container")
-
-    def take(pos, count):
-        if pos + count > len(data):
-            raise FeaturesFormatError(f"{path}: truncated container")
-        return data[pos:pos + count], pos + count
-
     coll = FeaturesCollection()
-    pos = 4
-    while pos < len(data):
-        raw, pos = take(pos, 4)
-        name_len, = struct.unpack("<I", raw)
-        raw, pos = take(pos, name_len)
-        try:
-            name = raw.decode("utf-8")
-        except UnicodeDecodeError as err:
-            raise FeaturesFormatError(
-                f"{path}: item name is not valid UTF-8: {err}") from err
-        raw, pos = take(pos, 13)
-        m, n, t = struct.unpack("<QIB", raw)
-        if t not in (1, 2):
-            raise FeaturesFormatError(f"{path}: item {name!r} has {t} time columns")
-        raw, pos = take(pos, 8 * m * t)
-        times = np.frombuffer(raw, dtype="<f8").reshape(m, t)
-        raw, pos = take(pos, 8 * m * n)
-        matrix = np.frombuffer(raw, dtype="<f8").reshape(m, n)
-        raw, pos = take(pos, 8)
-        blob_len, = struct.unpack("<Q", raw)
-        raw, pos = take(pos, blob_len)
-        try:
-            properties = json.loads(raw.decode("utf-8"))
-        except ValueError as err:  # bad UTF-8 or bad JSON
-            raise FeaturesFormatError(
-                f"{path}: item {name!r}: bad properties: {err}") from err
-        if name in coll:
-            raise FeaturesFormatError(f"{path}: duplicate item name {name!r}")
-        try:
-            coll[name] = Features(matrix, times, properties)
-        except ValueError as err:
-            raise FeaturesFormatError(f"{path}: item {name!r}: {err}") from err
+    with open(path, "rb") as fp:
+        info = os.fstat(fp.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            raise FeaturesFormatError(f"{path}: not a regular file, cannot "
+                                      "read a features container from it")
+        if fp.read(len(MAGIC)) != MAGIC:
+            raise FeaturesFormatError(f"{path}: bad magic number, not a features container")
+
+        def take(count):
+            # checked first, so a corrupt length is never allocated
+            if count > info.st_size - fp.tell():
+                raise FeaturesFormatError(f"{path}: truncated container")
+            return fp.read(count)
+
+        while fp.tell() < info.st_size:
+            name_len, = NAME_LENGTH.unpack(take(NAME_LENGTH.size))
+            try:
+                name = take(name_len).decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise FeaturesFormatError(
+                    f"{path}: item name is not valid UTF-8: {err}") from err
+            m, n, t = SHAPE.unpack(take(SHAPE.size))
+            if t not in (1, 2):
+                raise FeaturesFormatError(f"{path}: item {name!r} has {t} time columns")
+            times = np.frombuffer(take(8 * m * t), dtype="<f8").reshape(m, t)
+            matrix = np.frombuffer(take(8 * m * n), dtype="<f8").reshape(m, n)
+            blob = take(BLOB_LENGTH.unpack(take(BLOB_LENGTH.size))[0])
+            try:
+                properties = json.loads(blob.decode("utf-8"))
+            except ValueError as err:  # bad UTF-8 or bad JSON
+                raise FeaturesFormatError(
+                    f"{path}: item {name!r}: bad properties: {err}") from err
+            if name in coll:
+                raise FeaturesFormatError(f"{path}: duplicate item name {name!r}")
+            try:
+                coll[name] = Features(matrix, times, properties)
+            except ValueError as err:
+                raise FeaturesFormatError(f"{path}: item {name!r}: {err}") from err
     return coll
 
 

@@ -22,6 +22,10 @@ __all__ = ["DiagGmm", "ExtractionError", "UbmOptions", "VtlnOptions",
 
 NORM_TYPES = ("offset", "none", "diag")
 
+# the most warps a grid may hold: each is a mel bank built at config load
+# and an extraction of every utterance per search round
+MAX_WARPS = 128
+
 # per-dimension variance floor, as a fraction of the global variance
 VAR_FLOOR_FRACTION = 1e-3
 ABSOLUTE_VAR_FLOOR = 1e-10
@@ -92,6 +96,10 @@ class VtlnOptions:
                 f"and {self.max_warp}")
         if self.warp_step <= 0:
             raise ValueError(f"warp_step must be > 0, got {self.warp_step}")
+        count = _warp_count(self)
+        if count > MAX_WARPS:
+            raise ValueError(f"the warp grid has {count} warps, more than "
+                             f"the maximum {MAX_WARPS}")
         if self.norm_type not in NORM_TYPES:
             raise ValueError(
                 f"unknown norm_type {self.norm_type!r}, expected one of "
@@ -252,10 +260,13 @@ def train_ubm(source, opts=None, seed=0):
     return gmm
 
 
+def _warp_count(opts):
+    return int(round((opts.max_warp - opts.min_warp) / opts.warp_step)) + 1
+
+
 def warp_grid(opts):
     """The warp factors searched, min_warp to max_warp in warp_step steps."""
-    count = int(round((opts.max_warp - opts.min_warp) / opts.warp_step)) + 1
-    return opts.min_warp + np.arange(count) * opts.warp_step
+    return opts.min_warp + np.arange(_warp_count(opts)) * opts.warp_step
 
 
 def select_warp(grid, scores):
@@ -358,7 +369,16 @@ def _warp_score(gmm, frames, corpus_mean, corpus_std, opts):
 
 
 def save_warps(warps, path):
-    """Write a speaker -> warp map as two-column text."""
+    """Write a speaker -> warp map as two-column text.
+
+    A speaker name must be a non-empty string without whitespace, as
+    load_warps reads it back; otherwise a ValueError names it before the
+    file is opened.
+    """
+    for speaker in warps:
+        if not isinstance(speaker, str) or speaker.split() != [speaker]:
+            raise ValueError(f"speaker name must be a non-empty string "
+                             f"without whitespace, got {speaker!r}")
     with open(path, "w", encoding="utf-8") as fp:
         for speaker in sorted(warps):
             fp.write(f"{speaker} {warps[speaker]!r}\n")

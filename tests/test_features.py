@@ -1,6 +1,8 @@
 import json
+import os
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +53,33 @@ class TestInvariants:
         feats = random_features()
         with pytest.raises(ValueError):
             feats.data[0, 0] = 1.0
+
+    @pytest.mark.parametrize("data", [np.zeros(3), np.zeros((3, 2, 1)),
+                                      np.float64(1.0)],
+                             ids=["1-d", "3-d", "0-d"])
+    def test_data_not_a_matrix_rejected(self, data):
+        with pytest.raises(ValueError, match=re.escape(
+                f"data must be a 2-D matrix, got shape {data.shape}")):
+            Features(data, np.arange(3, dtype=float))
+
+    @pytest.mark.parametrize("times", [np.zeros((3, 3)), np.zeros((3, 0)),
+                                       np.zeros((3, 1, 1)), np.float64(0.0)],
+                             ids=["3-columns", "0-columns", "3-d", "0-d"])
+    def test_times_not_one_or_two_columns_rejected(self, times):
+        shape = np.shape(times)
+        with pytest.raises(ValueError, match=re.escape(
+                f"times must have shape [m, 1] or [m, 2], got {shape}")):
+            Features(np.zeros((3, 2)), times)
+
+    def test_equality_with_other_types_is_false(self):
+        feats = random_features()
+        assert feats == random_features()
+        assert not feats == [1.0]
+        assert feats != "Features(20 frames, 4 channels)"
+        assert feats.__eq__(3) is NotImplemented
+
+    def test_repr_gives_frames_and_channels(self):
+        assert repr(random_features(m=7, n=3)) == "Features(7 frames, 3 channels)"
 
     def test_bad_properties(self):
         with pytest.raises(ValueError):
@@ -233,6 +262,19 @@ class TestCsvFormat:
             load_collection(out, format="csv")
 
 
+@pytest.mark.parametrize("format", ["binary", "csv"])
+@pytest.mark.parametrize("value", [float("nan"), (1, 2)], ids=["nan", "tuple"])
+def test_save_refuses_properties_changed_past_the_rule(tmp_path, format, value):
+    # a NaN would not load back, a tuple would load back as a list
+    coll = sample_collection()
+    coll["utt2"].properties["x"] = value
+    path = tmp_path / "feats"
+    with pytest.raises(ValueError, match="^utt2: properties must be a "
+                                         "string-keyed tree"):
+        save_collection(coll, path, format)
+    assert not path.exists()
+
+
 class TestBinaryFormat:
     def test_round_trip_exact(self, tmp_path):
         coll = sample_collection()
@@ -322,6 +364,72 @@ class TestBinaryFormat:
         with pytest.raises(FeaturesFormatError, match=re.escape(
                 f"{path}: item 'u': ") + ".*" + re.escape(message)):
             load_collection(path, format="binary")
+
+    def test_huge_frame_count_fails_as_truncated_unallocated(self, tmp_path):
+        path = tmp_path / "feats.bin"
+        item = raw_item("u", [[0.0]], [[1.0]])
+        shape = 4 + 1  # after the name length and the name
+        huge = item[:shape] + struct.pack("<QIB", 2 ** 60, 1, 1) + item[shape + 13:]
+        path.write_bytes(MAGIC + huge)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FeaturesFormatError, match=re.escape(
+                    f"{path}: truncated container")):
+                load_collection(path, format="binary")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("trailing", [b"\0", b"\0\0", b"abc"])
+    def test_trailing_bytes_fail_as_truncated(self, tmp_path, trailing):
+        path = tmp_path / "feats.bin"
+        sample_collection().save(path, format="binary")
+        path.write_bytes(path.read_bytes() + trailing)
+        with pytest.raises(FeaturesFormatError, match=re.escape(
+                f"{path}: truncated container")):
+            load_collection(path, format="binary")
+
+    def test_magic_only_is_an_empty_collection(self, tmp_path):
+        path = tmp_path / "feats.bin"
+        path.write_bytes(MAGIC)
+        back = load_collection(path, format="binary")
+        assert type(back) is FeaturesCollection and len(back) == 0
+        FeaturesCollection().save(path)
+        assert path.read_bytes() == MAGIC
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_rejected_naming_it(self, tmp_path):
+        sample_collection().save(tmp_path / "feats.bin")
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, (tmp_path / "feats.bin").read_bytes()[:1024])
+            os.close(write_end)
+            path = f"/dev/fd/{read_end}"
+            with pytest.raises(FeaturesFormatError, match=re.escape(
+                    f"{path}: not a regular file")):
+                load_collection(path)
+        finally:
+            os.close(read_end)
+
+    def test_load_holds_the_collection_plus_about_one_item(self, tmp_path):
+        # 200 items of 400 x 13: about 9 MB on disk, 45 kB per item
+        rng = np.random.default_rng(3)
+        path = tmp_path / "big.bin"
+        FeaturesCollection({
+            f"utt{i:03d}": Features(rng.standard_normal((400, 13)),
+                                    0.01 * np.arange(1, 401), {"i": i})
+            for i in range(200)}).save(path)
+        size = path.stat().st_size
+        assert size >= 5e6
+        tracemalloc.start()
+        try:
+            back = load_collection(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(back) == 200
+        assert peak - held < 0.1 * size, (peak, held, size)
 
     def test_magic_is_shn1(self, tmp_path):
         path = tmp_path / "feats.bin"

@@ -1,5 +1,6 @@
 import hashlib
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -211,6 +212,13 @@ class TestOptionChecks:
         with pytest.raises(ValueError, match=r"^need min_warp < 1 < max_warp < inf"):
             VtlnOptions(**kwargs)
 
+    def test_warp_grid_of_at_most_128_warps(self):
+        # counted as warp_grid counts: 0.3 / (0.3 / 127) steps, plus one
+        assert len(warp_grid(VtlnOptions(warp_step=0.3 / 127))) == 128
+        with pytest.raises(ValueError, match=re.escape(
+                "the warp grid has 129 warps, more than the maximum 128")):
+            VtlnOptions(warp_step=0.3 / 128)
+
     def test_weight_floor_edges_accepted(self):
         UbmOptions(num_gauss=4, min_gaussian_weight=0.0)
         UbmOptions(num_gauss=4, min_gaussian_weight=0.25)
@@ -242,11 +250,13 @@ class TestOptionChecks:
         ("vtln", {"warp_step": 0.0}, "warp_step must be > 0, got 0.0"),
         ("vtln", {"norm_type": "bogus"}, "unknown norm_type 'bogus'"),
         ("vtln", {"num_iters": 0}, "num_iters must be >= 1, got 0"),
+        ("vtln", {"warp_step": 3e-4},
+         "the warp grid has 1001 warps, more than the maximum 128"),
     ], ids=["num-gauss", "proportion-0", "proportion-over-1", "ubm-num-iters",
             "num-iters-init", "num-frames", "negative-weight-floor",
             "weight-floor-over-1", "weight-floor-over-1-over-num-gauss",
             "negative-min-warp", "zero-min-warp", "min-warp-1", "max-warp-under-1",
-            "warp-step", "norm-type", "vtln-num-iters"])
+            "warp-step", "norm-type", "vtln-num-iters", "warp-grid-too-long"])
     def test_config_errors_name_file_block_and_key(self, tmp_path, block,
                                                    edits, message):
         error = config_error(tmp_path, default_config("mfcc", with_vtln=True),
@@ -564,8 +574,23 @@ class TestSerialization:
         path.write_bytes(b"alice 0.97\n\xe9ve 1.02\n")
         assert "can't decode" in error_naming_file(path, load_warps, path)
 
+    @pytest.mark.parametrize("speaker", ["", "a b", "a\tb", "a\n", " a"])
+    def test_speaker_load_warps_cannot_read_refused(self, tmp_path, speaker):
+        path = tmp_path / "warps.txt"
+        with pytest.raises(ValueError, match=re.escape(
+                f"speaker name must be a non-empty string without "
+                f"whitespace, got {speaker!r}")):
+            save_warps({"alice": 0.97, speaker: 1.0}, path)
+        assert not path.exists()
+
+    def test_warps_round_trip_any_speaker_without_whitespace(self, tmp_path):
+        warps = {"é-1": 0.85, "a/b": 1.15, "#x": 1.0, "0": 0.9999999999999999}
+        path = tmp_path / "warps.txt"
+        save_warps(warps, path)
+        assert load_warps(path) == warps
+
     def test_extraction_error_pickle_round_trip(self):
-        # a failure raised in a pool worker reaches the caller pickled
+        # an ExtractionError pickles with its failures, in order
         error = ExtractionError({"u1": "ValueError: too short", "u2": "x"})
         back = pickle.loads(pickle.dumps(error))
         assert type(back) is ExtractionError
