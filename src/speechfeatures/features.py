@@ -73,19 +73,31 @@ PROPERTIES_RULE = ("properties must be a string-keyed tree of lists and "
                    "scalars, with finite floats")
 
 
-def _valid_properties(node):
-    """Does standard JSON hold `node` exactly? Lists, not tuples; finite floats."""
-    if isinstance(node, dict):
-        return all(isinstance(k, str) and _valid_properties(v) for k, v in node.items())
+def _copy_tree(node):
+    """A deep copy of `node` if standard JSON holds it exactly (lists, not
+    tuples; finite floats), else ValueError(PROPERTIES_RULE)."""
+    if isinstance(node, dict) and all(isinstance(k, str) for k in node):
+        return {k: _copy_tree(v) for k, v in node.items()}
     if isinstance(node, list):
-        return all(_valid_properties(v) for v in node)
-    if isinstance(node, float):
-        return math.isfinite(node)
-    return isinstance(node, (str, bool, int)) or node is None
+        return [_copy_tree(v) for v in node]
+    if (isinstance(node, (str, bool, int)) or node is None
+            or isinstance(node, float) and math.isfinite(node)):
+        return node
+    raise ValueError(PROPERTIES_RULE)
+
+
+def _checked_properties(tree):
+    """A deep copy of a properties tree, which must be a dict at the top."""
+    if not isinstance(tree, dict):
+        raise ValueError(PROPERTIES_RULE)
+    return _copy_tree(tree)
 
 
 class Features:
-    """An immutable [m, n] feature matrix with frame times and properties."""
+    """An immutable [m, n] feature matrix with frame times and properties.
+
+    The Features keeps its own copy of the properties tree passed in.
+    """
 
     def __init__(self, data, times, properties=None):
         data = np.asarray(data, dtype=np.float64)
@@ -107,9 +119,7 @@ class Features:
             raise ValueError("times must be strictly increasing")
         if times.shape[1] == 2 and np.any(times[:, 0] >= times[:, 1]):
             raise ValueError("each [onset, offset] row needs onset < offset")
-        properties = {} if properties is None else properties
-        if not _valid_properties(properties):
-            raise ValueError(PROPERTIES_RULE)
+        properties = _checked_properties({} if properties is None else properties)
         data = data.copy()
         times = times.copy()
         data.flags.writeable = False
@@ -159,7 +169,7 @@ def concatenate(a, b):
         key = str(feats.properties.get("processor", "features"))
         while key in properties:
             key += "_2"
-        properties[key] = dict(feats.properties)
+        properties[key] = feats.properties
     properties["processor"] = "+".join(
         str(f.properties.get("processor", "features")) for f in (a, b))
     return Features(np.hstack([a.data, b.data]), a.times, properties)
@@ -215,8 +225,10 @@ def save_collection(coll, path, format="binary"):
     """
     save = _codec(format)[0]
     for name, feats in coll.items():
-        if not _valid_properties(feats.properties):
-            raise ValueError(f"{name}: {PROPERTIES_RULE}")
+        try:
+            _checked_properties(feats.properties)
+        except ValueError as err:
+            raise ValueError(f"{name}: {err}") from err
     save(coll, path)
 
 

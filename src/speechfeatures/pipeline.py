@@ -305,12 +305,9 @@ def _extract_one(config, utt, warp):
                                  seed=derive_seed(config.seed, utt.name + "::pitch"))
         feats = concatenate(feats, post)
 
-    properties = dict(feats.properties)
-    properties["pipeline"] = config_to_dict(config)
-    properties["audio"] = utt.audio_path
-    if warp != 1.0:
-        properties["vtln_warp"] = warp
-    return feats.with_properties(properties)
+    return feats.with_properties({
+        **feats.properties, "pipeline": config_to_dict(config), "audio": utt.audio_path,
+        **({} if warp == 1.0 else {"vtln_warp": warp})})
 
 
 def _extract_task(args):

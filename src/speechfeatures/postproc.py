@@ -81,16 +81,8 @@ def delta(feats, opts=None):
     blocks = [feats.data]
     for _ in range(opts.order):
         blocks.append(delta_filter(blocks[-1], opts.window))
-    properties = dict(feats.properties)
-    properties["delta"] = asdict(opts)
-    return Features(np.hstack(blocks), feats.times, properties)
-
-
-def _normalize(data, mean, sigma, norm_vars):
-    out = data - mean
-    if norm_vars:
-        out = out / np.maximum(sigma, SIGMA_FLOOR)
-    return out
+    return Features(np.hstack(blocks), feats.times,
+                    {**feats.properties, "delta": asdict(opts)})
 
 
 def cmvn_apply(coll, speakers=None, opts=None):
@@ -103,37 +95,33 @@ def cmvn_apply(coll, speakers=None, opts=None):
     """
     if opts is None:
         raise ValueError("cmvn requires options with a scope")
-    if opts.by == "speaker":
+    by_speaker = opts.by == "speaker"
+    if by_speaker:
         speakers = speakers or {}
         missing = [name for name in coll if name not in speakers]
         if missing:
             raise ValueError(
                 f"cmvn by speaker: no speaker for {', '.join(sorted(missing))}")
-    else:
-        # frame and utterance scopes group each utterance on its own
-        speakers = {name: name for name in coll}
     axis = 1 if opts.by == "frame" else 0
+    # frame and utterance scopes group each utterance on its own
     groups = {}
     for name in coll:
-        groups.setdefault(speakers[name], []).append(name)
+        groups.setdefault(speakers[name] if by_speaker else name, []).append(name)
     out = {}
     for names in groups.values():
         # name-sorted stacking keeps the statistics bit-identical no
         # matter how the collection is ordered
         pooled = np.vstack([coll[name].data for name in sorted(names)])
         mean = pooled.mean(axis=axis, keepdims=True)
-        sigma = pooled.std(axis=axis, keepdims=True)
+        sigma = np.maximum(pooled.std(axis=axis, keepdims=True), SIGMA_FLOOR)
         for name in names:
             feats = coll[name]
-            out[name] = _with_cmvn(feats, _normalize(feats.data, mean, sigma,
-                                                     opts.norm_vars), opts)
+            data = feats.data - mean
+            if opts.norm_vars:
+                data = data / sigma
+            out[name] = Features(data, feats.times,
+                                 {**feats.properties, "cmvn": asdict(opts)})
     return FeaturesCollection({name: out[name] for name in coll})
-
-
-def _with_cmvn(feats, data, opts):
-    properties = dict(feats.properties)
-    properties["cmvn"] = asdict(opts)
-    return Features(data, feats.times, properties)
 
 
 def vad(log_energy, opts=None):

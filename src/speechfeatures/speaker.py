@@ -371,17 +371,20 @@ def _warp_score(gmm, frames, corpus_mean, corpus_std, opts):
 def save_warps(warps, path):
     """Write a speaker -> warp map as two-column text.
 
-    A speaker name must be a non-empty string without whitespace, as
-    load_warps reads it back; otherwise a ValueError names it before the
-    file is opened.
+    A speaker name must be a non-empty string without whitespace and a
+    warp a finite positive number, as load_warps reads them back; otherwise
+    a ValueError names the speaker before the file is opened.
     """
-    for speaker in warps:
+    for speaker, warp in warps.items():
         if not isinstance(speaker, str) or speaker.split() != [speaker]:
             raise ValueError(f"speaker name must be a non-empty string "
                              f"without whitespace, got {speaker!r}")
+        if not 0.0 < warp < np.inf:
+            raise ValueError(f"speaker {speaker!r}: warp must be finite "
+                             f"and positive, got {warp!r}")
     with open(path, "w", encoding="utf-8") as fp:
         for speaker in sorted(warps):
-            fp.write(f"{speaker} {warps[speaker]!r}\n")
+            fp.write(f"{speaker} {float(warps[speaker])!r}\n")
 
 
 def load_warps(path):

@@ -389,11 +389,9 @@ def lpc_to_cepstrum(coeffs, n_coeffs):
     """Cepstral coefficients c_1..c_n of an all-pole model.
 
     Standard recursion c_m = a_m + sum_{k<m} (k/m) c_k a_{m-k}, valid for
-    n_coeffs <= lpc order.
+    n_coeffs <= lpc order, as PlpOptions ensures for plp.
     """
-    m, order = coeffs.shape
-    if n_coeffs > order:
-        raise ValueError(f"need n_coeffs <= lpc order, got {n_coeffs} > {order}")
+    m = coeffs.shape[0]
     ceps = np.zeros((m, n_coeffs))
     for i in range(1, n_coeffs + 1):
         acc = coeffs[:, i - 1].copy()

@@ -125,6 +125,14 @@ class TestAudio:
         with pytest.raises(ValueError):
             audio.samples[0] = 1.0
 
+    def test_equality_and_repr(self):
+        audio = Audio([0.0, 0.5, -0.5], 8000)
+        assert audio == Audio(np.array([0.0, 0.5, -0.5]), 8000)
+        assert audio != Audio([0.0, 0.5, -0.5], 16000)
+        assert audio != Audio([0.0, 0.5, 0.5], 8000)
+        assert audio != "Audio(3 samples @ 8000 Hz)"
+        assert repr(audio) == "Audio(3 samples @ 8000 Hz)"
+
 
 def dominant_frequency(audio):
     spectrum = np.abs(np.fft.rfft(audio.samples))
@@ -202,6 +210,14 @@ def int16_noise(nsamples, seed):
     """Uniform noise on the int16 sample scale, as integer-valued floats."""
     rng = np.random.default_rng(seed)
     return np.round(rng.uniform(-32768, 32767, nsamples))
+
+
+class TestSincResampleEqualRates:
+    def test_equal_rates_give_an_exact_copy(self):
+        x = np.random.default_rng(3).uniform(-1, 1, 500)
+        out = sinc_resample(x, 16000, 16000)
+        assert np.array_equal(out, x)
+        assert not np.shares_memory(out, x)
 
 
 class TestSincResampleExact:
@@ -423,3 +439,22 @@ class TestUtterances:
         assert sorted(groups) == ["s1", "s2"]
         assert [u.name for u in groups["s1"]] == ["a", "c"]
         assert utts.speakers == {"a": "s1", "b": "s2", "c": "s1"}
+
+    def test_empty_name_rejected(self):
+        with pytest.raises(ValueError, match="^utterance name must be non-empty$"):
+            Utterance("", "a.wav")
+
+    def test_no_speakers(self):
+        utts = Utterances([Utterance("a", "a.wav"), Utterance("b", "b.wav")])
+        assert utts.speakers == {}
+        with pytest.raises(ValueError,
+                           match="^utterances have no speaker information$"):
+            utts.by_speaker()
+
+    def test_equality(self):
+        items = [Utterance("a", "a.wav", speaker="s1"),
+                 Utterance("b", "b.wav", speaker="s2")]
+        assert Utterances(items) == Utterances(list(items))
+        assert Utterances(items) != Utterances(items[::-1])
+        assert Utterances(items) != Utterances(items[:1])
+        assert Utterances(items) != items

@@ -1,6 +1,7 @@
 import argparse
 import os
 import re
+import runpy
 import shutil
 import subprocess
 import sys
@@ -373,6 +374,18 @@ class TestEvalCommand:
         triplets.write_text("utt1 utt2 utt1\nutt2 utt1 utt2\n")
         assert main(["eval", "abx", str(triplets), str(features)]) == 0
         assert "ABX error rate: 0 %" in capsys.readouterr().out
+
+
+# runpy warns that the imported speechfeatures.cli is run again as __main__
+@pytest.mark.filterwarnings("ignore:.*found in sys.modules:RuntimeWarning")
+@pytest.mark.parametrize("module", ["speechfeatures", "speechfeatures.cli"])
+def test_module_entry_points_in_process(monkeypatch, capsys, module):
+    # `python -m <module>`, run where a line collector sees its lines
+    monkeypatch.setattr(sys, "argv", ["speech-features", "config", "filterbank"])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module(module, run_name="__main__")
+    assert info.value.code == 0
+    assert "num_bins: 23" in capsys.readouterr().out
 
 
 def test_module_entry_point(tmp_path):

@@ -32,6 +32,14 @@ class TestMae:
         with pytest.raises(ValueError):
             mae(ev)
 
+    @pytest.mark.parametrize("estimates, mask", [
+        ([100.0, 101.0], None), ([100.0, 101.0, 99.0], [True, False])],
+        ids=["estimates", "mask"])
+    def test_unequal_lengths_rejected(self, estimates, mask):
+        with pytest.raises(ValueError, match="^ground truth, estimates and "
+                                             "mask lengths differ$"):
+            PitchEval([100.0, 101.0, 99.0], estimates, mask)
+
     def test_scale_covariant(self):
         rng = np.random.default_rng(0)
         truth = rng.uniform(80, 300, 50)
@@ -63,6 +71,11 @@ class TestGer:
         truth = np.array([100.0, 150.0, 250.0])
         est = np.array([104.0, 160.0, 260.0])
         assert ger(PitchEval(7 * truth, 7 * est)) == ger(PitchEval(truth, est))
+
+    def test_empty_mask_rejected(self):
+        ev = PitchEval([100.0, 200.0], [100.0, 100.0], [False, False])
+        with pytest.raises(ValueError, match="^ger needs at least one masked frame$"):
+            ger(ev)
 
     def test_masked_truth_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -107,6 +120,12 @@ class TestDtwCosine:
     def test_channel_mismatch(self):
         with pytest.raises(ValueError, match="channel"):
             dtw_cosine(feats(np.ones((3, 2))), feats(np.ones((3, 3))))
+
+    @pytest.mark.parametrize("empty_first", [True, False])
+    def test_empty_sequence_rejected(self, empty_first):
+        pair = [np.zeros((0, 2)), np.ones((3, 2))]
+        with pytest.raises(ValueError, match="^dtw needs non-empty sequences$"):
+            dtw_cosine(*(pair if empty_first else pair[::-1]))
 
     def test_zero_frames(self):
         zero = feats(np.zeros((3, 2)))

@@ -219,6 +219,15 @@ class TestCsvFormat:
         with pytest.raises(FeaturesFormatError, match=re.escape(f"{out}/utt2.csv: ")):
             load_collection(out, format="csv")
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '"abc"', "5"])
+    def test_properties_not_a_dict_names_file(self, tmp_path, text):
+        out = tmp_path / "out"
+        sample_collection().save(out, format="csv")
+        (out / "utt2.json").write_text(text)
+        with pytest.raises(FeaturesFormatError, match=re.escape(
+                f"{out}/utt2.csv: properties must be a string-keyed tree")):
+            load_collection(out, format="csv")
+
     @pytest.mark.parametrize("header", ["# time_columns: 3", "# time_columns: x"])
     def test_bad_time_column_header_rejected(self, tmp_path, header):
         out = tmp_path / "out"
@@ -268,6 +277,17 @@ def test_save_refuses_properties_changed_past_the_rule(tmp_path, format, value):
     # a NaN would not load back, a tuple would load back as a list
     coll = sample_collection()
     coll["utt2"].properties["x"] = value
+    path = tmp_path / "feats"
+    with pytest.raises(ValueError, match="^utt2: properties must be a "
+                                         "string-keyed tree"):
+        save_collection(coll, path, format)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("format", ["binary", "csv"])
+def test_save_refuses_properties_replaced_by_a_non_dict(tmp_path, format):
+    coll = sample_collection()
+    coll["utt2"].properties = [1, 2]
     path = tmp_path / "feats"
     with pytest.raises(ValueError, match="^utt2: properties must be a "
                                          "string-keyed tree"):
@@ -342,6 +362,15 @@ class TestBinaryFormat:
         path.write_bytes(MAGIC + raw_item("u", [[0.0]], [[1.0]], time_columns))
         with pytest.raises(FeaturesFormatError, match=re.escape(
                 f"{path}: item 'u' has {time_columns} time columns")):
+            load_collection(path, format="binary")
+
+    @pytest.mark.parametrize("properties", [[1, 2], "abc", 5],
+                             ids=["list", "str", "int"])
+    def test_properties_not_a_dict_names_file_and_item(self, tmp_path, properties):
+        path = tmp_path / "feats.bin"
+        path.write_bytes(MAGIC + raw_item("u", [[0.0]], [[1.0]], properties=properties))
+        with pytest.raises(FeaturesFormatError, match=re.escape(
+                f"{path}: item 'u': properties must be a string-keyed tree")):
             load_collection(path, format="binary")
 
     def test_duplicate_item_names_file_and_item(self, tmp_path):

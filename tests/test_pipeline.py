@@ -321,6 +321,13 @@ class TestExtractFeatures:
         for feats in coll.values():
             assert feats.nchannels == 13 * 3 + 3
 
+    def test_plain_list_of_utterances(self, corpus):
+        config = default_config("mfcc", with_cmvn=True)
+        config = dataclasses.replace(config, cmvn=dataclasses.replace(
+            config.cmvn, by="speaker"))
+        assert (extract_features(config, list(corpus))
+                == extract_features(config, corpus))
+
     def test_njobs_determinism(self, corpus):
         for config in (default_config("mfcc", with_pitch=True, seed=5),
                        small_vtln_config(seed=5)):

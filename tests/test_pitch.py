@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from speechfeatures import (Audio, FrameOptions, PitchOptions,
+from speechfeatures import (Audio, Features, FrameOptions, PitchOptions,
                             PostPitchOptions, default_config, estimate_pitch,
                             nccf_to_pov, num_frames, postprocess_pitch)
 from speechfeatures import pitch
@@ -419,6 +419,15 @@ def constant_raw_pitch(m=200, f0=220.0, nccf=0.95):
 
 
 class TestPostprocessPitch:
+    @pytest.mark.parametrize("f0", [0.0, -100.0])
+    def test_non_positive_f0_rejected(self, f0):
+        raw = constant_raw_pitch()
+        data = raw.data.copy()
+        data[17, 1] = f0
+        with pytest.raises(ValueError,
+                           match="^raw pitch f0 values must be positive$"):
+            postprocess_pitch(Features(data, raw.times))
+
     def test_three_columns(self):
         out = postprocess_pitch(constant_raw_pitch())
         assert out.data.shape == (200, 3)

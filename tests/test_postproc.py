@@ -64,6 +64,11 @@ class TestDelta:
 
 
 class TestCmvn:
+    def test_options_required(self):
+        coll = random_collection({"a": (20, 3)})
+        with pytest.raises(ValueError, match="^cmvn requires options with a scope$"):
+            cmvn_apply(coll)
+
     def test_utterance_scope_moments(self):
         coll = random_collection({"a": (200, 5), "b": (150, 5)})
         out = cmvn_apply(coll, opts=CmvnOptions(by="utterance"))

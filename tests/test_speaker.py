@@ -72,6 +72,22 @@ class TestDiagGmm:
         with pytest.raises(ValueError):
             DiagGmm([0.5, 0.4], np.zeros((2, 1)), np.ones((2, 1)))
 
+    @pytest.mark.parametrize("means, variances", [
+        (np.zeros(2), np.ones(2)), (np.zeros((2, 1)), np.ones((2, 2))),
+        (np.zeros((2, 1, 1)), np.ones((2, 1, 1)))],
+        ids=["vector", "unequal", "3-d"])
+    def test_means_and_variances_shape(self, means, variances):
+        with pytest.raises(ValueError,
+                           match=r"^means and variances must be \[num_gauss, dim\]$"):
+            DiagGmm([0.5, 0.5], means, variances)
+
+    @pytest.mark.parametrize("weights", [[1.0], [0.25] * 4, [[0.5, 0.5]]],
+                             ids=["short", "long", "matrix"])
+    def test_weights_shape(self, weights):
+        with pytest.raises(ValueError,
+                           match="^weights must be a vector of num_gauss entries$"):
+            DiagGmm(weights, np.zeros((2, 1)), np.ones((2, 1)))
+
     def test_variances_positive(self):
         with pytest.raises(ValueError):
             DiagGmm([1.0], np.zeros((1, 1)), np.zeros((1, 1)))
@@ -107,6 +123,15 @@ class TestTrainUbm:
         recovered = np.sort(gmm.means[:, 0])
         assert abs(recovered[0] - 0.0) < 0.1
         assert abs(recovered[1] - 5.0) < 0.1
+
+    def test_features_source_is_its_data(self):
+        data = two_cluster_data(n=400)
+        feats = Features(data, np.arange(len(data), dtype=np.float64))
+        opts = UbmOptions(num_gauss=2, num_iters=2)
+        from_feats = train_ubm(feats, opts, seed=3)
+        from_data = train_ubm(data, opts, seed=3)
+        for field in ("weights", "means", "variances"):
+            assert np.array_equal(getattr(from_feats, field), getattr(from_data, field))
 
     def test_loglike_history_monotone(self, monkeypatch):
         rng = np.random.default_rng(1)
@@ -582,6 +607,22 @@ class TestSerialization:
                 f"whitespace, got {speaker!r}")):
             save_warps({"alice": 0.97, speaker: 1.0}, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("warp", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_warp_load_warps_cannot_read_refused(self, tmp_path, warp):
+        path = tmp_path / "warps.txt"
+        with pytest.raises(ValueError, match=re.escape(
+                f"speaker 'bob': warp must be finite and positive, got {warp!r}")):
+            save_warps({"alice": 0.97, "bob": warp}, path)
+        assert not path.exists()
+
+    def test_numpy_warps_round_trip(self, tmp_path):
+        # a numpy scalar is written as the float it holds
+        warps = {"alice": np.float64(0.97), "bob": np.float32(1.25), "carol": 1}
+        path = tmp_path / "warps.txt"
+        save_warps(warps, path)
+        assert path.read_text() == "alice 0.97\nbob 1.25\ncarol 1.0\n"
+        assert load_warps(path) == warps
 
     def test_warps_round_trip_any_speaker_without_whitespace(self, tmp_path):
         warps = {"é-1": 0.85, "a/b": 1.15, "#x": 1.0, "0": 0.9999999999999999}
