@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .features import read_text
+from .features import ReadOnlyArrays, frozen, read_text
 
 __all__ = [
     "Audio", "Utterance", "Utterances",
@@ -36,7 +36,7 @@ class WavEncodingError(WavFormatError):
     """Raised on a sample encoding other than PCM 8/16/32 int or 32 float."""
 
 
-class Audio:
+class Audio(ReadOnlyArrays):
     """A mono audio signal: samples in [-1, 1] plus the sampling rate in Hz."""
 
     def __init__(self, samples, sample_rate):
@@ -47,9 +47,7 @@ class Audio:
             raise ValueError(f"sample rate must be a positive integer, got {sample_rate!r}")
         if samples.size and not np.all(np.isfinite(samples)):
             raise ValueError("audio samples must be finite")
-        samples = samples.copy()
-        samples.flags.writeable = False
-        self.samples = samples
+        self.samples = frozen(samples)
         self.sample_rate = int(sample_rate)
 
     @property
@@ -75,7 +73,7 @@ def _read_chunks(data, path):
     """Yield (chunk id, payload) pairs of a RIFF stream, skipping pad bytes."""
     pos = 12
     while pos + 8 <= len(data):
-        cid = data[pos:pos + 4]
+        cid = bytes(data[pos:pos + 4])
         size, = struct.unpack_from("<I", data, pos + 4)
         payload = data[pos + 8:pos + 8 + size]
         if len(payload) < size:
@@ -83,6 +81,9 @@ def _read_chunks(data, path):
         yield cid, payload
         pos += 8 + size + (size & 1)
 
+
+# the largest value of a WAV header's 32-bit size and rate fields
+U32_MAX = 2**32 - 1
 
 # (format code, bits) -> (stored dtype, offset, scale): samples are (stored - offset) / scale
 _ENCODINGS = {(1, 8): ("u1", 128, 128), (1, 16): ("<i2", 0, 32768),
@@ -105,7 +106,8 @@ def load_wav(path):
 
     fmt = None
     payload = None
-    for cid, chunk in _read_chunks(data, path):
+    # chunks sliced from a memoryview share the file's bytes, with no copy
+    for cid, chunk in _read_chunks(memoryview(data), path):
         if cid == b"fmt " and fmt is None:
             if len(chunk) < 16:
                 raise WavFormatError(f"{path}: fmt chunk too short")
@@ -135,11 +137,16 @@ def write_wav(path, audio):
 
     Samples are quantized with round(x * 32768) clipped to the int16 range,
     the exact inverse of the load_wav scaling: a file loaded then written
-    back is bit-identical.
+    back is bit-identical. A rate or a length that the header's 32-bit
+    fields cannot hold raises a ValueError before the file is opened.
     """
+    rate = audio.sample_rate
+    if 2 * rate > U32_MAX or 36 + 2 * audio.nsamples > U32_MAX:
+        raise ValueError(f"a WAV header cannot hold {audio.nsamples} samples "
+                         f"at {rate} Hz: the byte rate and the data size "
+                         f"must fit in 32 bits")
     ints = np.clip(np.round(audio.samples * 32768.0), -32768, 32767).astype("<i2")
     payload = ints.tobytes()
-    rate = audio.sample_rate
     header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
     header += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, rate, rate * 2, 2, 16)
     header += b"data" + struct.pack("<I", len(payload))
@@ -185,9 +192,7 @@ def _phase_table(rate_in, rate_out, cutoff, zeros, rows):
     base = j * q // p
     phases = (j * q % p) / p
     table = windowed_sinc(phases[:, None] - np.arange(-hw, hw + 2), fc, half)
-    base.flags.writeable = False
-    table.flags.writeable = False
-    return base, table
+    return frozen(base), frozen(table)
 
 
 def sinc_resample(x, rate_in, rate_out, cutoff=None, zeros=64):
@@ -266,7 +271,7 @@ class Utterance:
             raise ValueError("utterance name must be non-empty")
         if (self.onset is None) != (self.offset is None):
             raise ValueError(f"{self.name}: onset and offset must be given together")
-        if self.onset is not None and not 0 <= self.onset < self.offset:
+        if self.onset is not None and not 0 <= self.onset < self.offset < math.inf:
             raise ValueError(
                 f"{self.name}: need 0 <= onset < offset, got [{self.onset}, {self.offset}]")
 

@@ -93,7 +93,26 @@ def _checked_properties(tree):
     return _copy_tree(tree)
 
 
-class Features:
+def frozen(array):
+    """`array` if read-only, C-ordered and owning its memory, else a read-only copy."""
+    if array.flags.owndata and array.flags.c_contiguous and not array.flags.writeable:
+        return array
+    array = array.copy()
+    array.flags.writeable = False
+    return array
+
+
+class ReadOnlyArrays:
+    """Base of read-only array holders: an unpickled array is private, so frozen in place."""
+
+    def __setstate__(self, state):
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        self.__dict__.update(state)
+
+
+class Features(ReadOnlyArrays):
     """An immutable [m, n] feature matrix with frame times and properties.
 
     The Features keeps its own copy of the properties tree passed in.
@@ -119,14 +138,9 @@ class Features:
             raise ValueError("times must be strictly increasing")
         if times.shape[1] == 2 and np.any(times[:, 0] >= times[:, 1]):
             raise ValueError("each [onset, offset] row needs onset < offset")
-        properties = _checked_properties({} if properties is None else properties)
-        data = data.copy()
-        times = times.copy()
-        data.flags.writeable = False
-        times.flags.writeable = False
-        self.data = data
-        self.times = times
-        self.properties = properties
+        self.properties = _checked_properties({} if properties is None else properties)
+        self.data = frozen(data)
+        self.times = frozen(times)
 
     @property
     def nframes(self):
@@ -137,7 +151,7 @@ class Features:
         return self.data.shape[1]
 
     def with_properties(self, properties):
-        """A copy of this Features carrying a different properties tree."""
+        """This Features with a different properties tree, sharing its arrays."""
         return Features(self.data, self.times, properties)
 
     def __eq__(self, other):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import Features, FeaturesCollection, read_text
+from .features import Features, FeaturesCollection, ReadOnlyArrays, frozen, read_text
 
 __all__ = ["DiagGmm", "ExtractionError", "UbmOptions", "VtlnOptions",
            "train_ubm", "estimate_warps", "warp_grid", "select_warp", "save_warps",
@@ -41,7 +41,7 @@ class ExtractionError(RuntimeError):
             len(lines), "\n  ".join(lines)))
 
     def __reduce__(self):
-        # rebuilt from the failures, so the error crosses a process pool
+        # rebuilt from the failures, so callers can pickle the error
         return type(self), (self.failures,)
 
 
@@ -108,8 +108,8 @@ class VtlnOptions:
             raise ValueError(f"num_iters must be >= 1, got {self.num_iters}")
 
 
-class DiagGmm:
-    """A Gaussian mixture with diagonal covariances."""
+class DiagGmm(ReadOnlyArrays):
+    """A Gaussian mixture with diagonal covariances (read-only arrays)."""
 
     def __init__(self, weights, means, variances):
         weights = np.asarray(weights, dtype=np.float64)
@@ -123,9 +123,9 @@ class DiagGmm:
             raise ValueError("weights must be non-negative and sum to 1")
         if np.any(variances <= 0):
             raise ValueError("variances must be positive")
-        self.weights = weights
-        self.means = means
-        self.variances = variances
+        self.weights = frozen(weights)
+        self.means = frozen(means)
+        self.variances = frozen(variances)
 
     @property
     def num_gauss(self):
@@ -340,12 +340,13 @@ def estimate_warps(utterances, extractor, opts=None, seed=0):
         # slower (ROADMAP, measured dead ends)
         warps = {}
         for speaker, utts in by_speaker.items():
-            frames = [np.vstack(per_warp)
-                      for per_warp in zip(*(extractor(u, grid) for u in utts))]
+            # stacked one warp at a time: the grid is held once, per utterance
+            per_warp = list(zip(*(extractor(u, grid) for u in utts)))
             warps[speaker] = select_warp(grid, [
-                _warp_score(gmm, f, corpus_mean, corpus_std, opts) for f in frames])
-            selected[speaker] = frames[grid.index(warps[speaker])]
-            del frames  # hold one speaker's grid of frames at a time
+                _warp_score(gmm, np.vstack(mats), corpus_mean, corpus_std, opts)
+                for mats in per_warp])
+            selected[speaker] = np.vstack(per_warp[grid.index(warps[speaker])])
+            del per_warp  # hold one speaker's grid of frames at a time
         if warps in history:
             first = history.index(warps)
             period = len(history) - first
@@ -433,10 +434,13 @@ def save_gmm(gmm, path):
 
 
 def load_gmm(path):
-    """Load a DiagGmm stored by save_gmm."""
+    """Load a DiagGmm stored by save_gmm; a malformed model raises a
+    ValueError naming the file."""
     coll = FeaturesCollection.load(path, format="binary")
     try:
         return DiagGmm(coll["weights"].data[:, 0], coll["means"].data,
                        coll["variances"].data)
     except KeyError as err:
         raise ValueError(f"{path}: not a stored GMM, missing {err}") from err
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err

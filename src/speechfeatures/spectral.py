@@ -14,7 +14,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .features import Features
+from .features import Features, frozen
 from .framing import FrameOptions, extract_frames, TINY
 
 __all__ = [
@@ -214,9 +214,7 @@ def compute_mel_banks(opts, vtln_warp=1.0):
     if empty.size:
         raise ValueError(f"mel bin {empty[0]} has no FFT bin support "
                          f"(nfft {nfft} too small)")
-    centers.flags.writeable = False
-    matrix.flags.writeable = False
-    return MelBanks(centers, matrix)
+    return MelBanks(frozen(centers), frozen(matrix))
 
 
 def next_power_of_two(n):
@@ -285,16 +283,13 @@ def dct_matrix(num_rows, num_cols):
     n = np.arange(num_cols)[None, :]
     mat = np.sqrt(2.0 / num_cols) * np.cos(np.pi * k * (2 * n + 1) / (2 * num_cols))
     mat[0] *= 1.0 / np.sqrt(2.0)
-    mat.flags.writeable = False
-    return mat
+    return frozen(mat)
 
 
 @functools.lru_cache(maxsize=None)
 def lifter_coeffs(num_ceps, q):
     """Sinusoidal liftering coefficients 1 + (Q/2) sin(pi i / Q) (cached, read-only)."""
-    coeffs = 1.0 + 0.5 * q * np.sin(np.pi * np.arange(num_ceps) / q)
-    coeffs.flags.writeable = False
-    return coeffs
+    return frozen(1.0 + 0.5 * q * np.sin(np.pi * np.arange(num_ceps) / q))
 
 
 def mfcc(audio, opts=None, vtln_warp=1.0, seed=0):

@@ -1,5 +1,7 @@
 import math
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +98,22 @@ class TestLoadWav:
             load_wav(path)
         assert str(info.value) == f"{path}: {message}"
 
+    def test_load_holds_the_samples_about_twice(self, tmp_path):
+        # the file's bytes, two float64 arrays at a time while scaling, and
+        # no copy of the data chunk (2.5 times the samples with one)
+        n = 200000
+        ints = int16_noise(n, seed=3)
+        path = tmp_path / "x.wav"
+        path.write_bytes(wav_bytes(ints.astype("<i2").tobytes()))
+        tracemalloc.start()
+        try:
+            audio = load_wav(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(audio.samples, ints / 32768.0)
+        assert peak < 2.4 * 8 * n
+
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(1)
         ints = rng.integers(-32768, 32768, size=2000).astype("<i2")
@@ -105,6 +123,14 @@ class TestLoadWav:
         out = tmp_path / "y.wav"
         write_wav(out, audio)
         assert path.read_bytes() == out.read_bytes()
+
+
+def test_write_wav_refuses_a_rate_the_header_cannot_hold(tmp_path):
+    path = tmp_path / "x.wav"
+    with pytest.raises(ValueError, match=re.escape(
+            f"a WAV header cannot hold 4 samples at {2**31} Hz")):
+        write_wav(path, Audio(np.zeros(4), 2**31))
+    assert not path.exists()
 
 
 class TestAudio:
@@ -400,8 +426,10 @@ class TestParseUtterances:
         (b"u1 a.wav\nu1 b.wav\n", "duplicate utterance names: u1"),
         (b"u1\n", "line 1: unparsable"),
         (b"u1 a.wav spk1\nu2 b.wav\n", "line 2: shape name-wav differs"),
-        (b"u1 a.wav 2.0 1.0\n", "u1: need 0 <= onset < offset")],
-        ids=["not-utf8", "duplicate", "unparsable", "shape", "bounds"])
+        (b"u1 a.wav 2.0 1.0\n", "u1: need 0 <= onset < offset"),
+        (b"b x.wav 1 inf\n", "b: need 0 <= onset < offset, got [1.0, inf]")],
+        ids=["not-utf8", "duplicate", "unparsable", "shape", "bounds",
+             "infinite-bound"])
     def test_errors_name_the_file_once(self, tmp_path, data, expected):
         path = tmp_path / "utts.txt"
         path.write_bytes(data)

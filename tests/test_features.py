@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import pickle
 import re
 import struct
 import tracemalloc
@@ -7,9 +9,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from speechfeatures import (Features, FeaturesCollection, FeaturesFormatError,
-                            concatenate, load_collection, save_collection)
-from speechfeatures.features import MAGIC
+from speechfeatures import (Audio, CmvnOptions, DiagGmm, Features,
+                            FeaturesCollection, FeaturesFormatError,
+                            cmvn_apply, concatenate, delta, load_collection,
+                            postprocess_pitch, save_collection)
+from speechfeatures.features import MAGIC, frozen
 
 from conftest import assert_valid_features
 
@@ -106,6 +110,76 @@ def raw_item(name, times, data, time_columns=None, properties=None):
                           times.shape[1] if time_columns is None else time_columns)
             + times.tobytes() + data.tobytes()
             + struct.pack("<Q", len(blob)) + blob)
+
+
+# pickling (at every protocol) and copying, which rebuild a value from its state
+ROUND_TRIPS = {
+    **{f"pickle-{p}": lambda v, p=p: pickle.loads(pickle.dumps(v, protocol=p))
+       for p in range(2, pickle.HIGHEST_PROTOCOL + 1)},
+    "deepcopy": copy.deepcopy, "copy": copy.copy}
+
+
+class TestReadOnlyArrays:
+    def test_with_properties_shares_the_arrays(self):
+        m = 100000
+        feats = Features(np.random.default_rng(0).standard_normal((m, 13)),
+                         np.arange(m) * 0.01)
+        tracemalloc.start()
+        try:
+            other = feats.with_properties({"processor": "other"})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert other.data is feats.data and other.times is feats.times
+        assert other.properties == {"processor": "other"}
+        assert peak < 0.2 * feats.data.nbytes
+
+    def test_derivations_share_the_times(self):
+        a = random_features(10, 2, seed=1)
+        b = random_features(10, 3, seed=2)
+        assert delta(a).times is a.times
+        assert concatenate(a, b).times is a.times
+        normalized = cmvn_apply(FeaturesCollection({"a": a}),
+                                opts=CmvnOptions(by="utterance"))
+        assert normalized["a"].times is a.times
+        raw = Features(np.column_stack([np.full(10, 0.5), np.full(10, 120.0)]),
+                       a.times)
+        assert postprocess_pitch(raw).times is a.times
+
+    def test_what_a_value_does_not_own_is_copied(self):
+        owned = np.arange(6.0).reshape(3, 2)
+        feats = Features(owned, [0.0, 1.0, 2.0])
+        owned[0, 0] = 9.0  # a writeable input stays the caller's
+        assert feats.data[0, 0] == 0.0
+        # a read-only view, or a read-only Fortran-ordered array, is copied
+        view = frozen(owned)[:, :1]
+        assert Features(view, [0.0, 1.0, 2.0]).data.base is None
+        fortran = np.asfortranarray(np.ones((3, 2)))
+        fortran.flags.writeable = False
+        copied = Features(fortran, [0.0, 1.0, 2.0]).data
+        assert copied is not fortran and copied.flags.c_contiguous
+
+    def test_frozen(self):
+        array = np.arange(4.0)
+        kept = frozen(array)
+        assert kept is not array and not kept.flags.writeable
+        assert frozen(kept) is kept
+        assert np.array_equal(kept, array)
+
+    @pytest.mark.parametrize("value, names", [
+        (random_features(), ["data", "times"]),
+        (Audio(np.linspace(-1, 1, 50), 8000), ["samples"]),
+        (DiagGmm([0.5, 0.5], np.zeros((2, 3)), np.ones((2, 3))),
+         ["weights", "means", "variances"]),
+    ], ids=["Features", "Audio", "DiagGmm"])
+    @pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS)
+    def test_round_trips_keep_the_arrays_read_only(self, value, names, round_trip):
+        back = round_trip(value)
+        for name in names:
+            array = getattr(back, name)
+            assert np.array_equal(array, getattr(value, name))
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
 
 
 class TestConcatenate:

@@ -340,6 +340,14 @@ class TestExtractFeatures:
                 assert (serial[name].properties.get("vtln_warp")
                         == parallel[name].properties.get("vtln_warp"))
 
+    def test_pooled_items_are_read_only_like_serial_ones(self, corpus):
+        config = default_config("plp", with_delta=True)
+        for njobs in 1, 2:
+            for feats in extract_features(config, corpus, njobs=njobs).values():
+                for array in feats.data, feats.times:
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[0, 0] = 123.0
+
     def test_properties_record_pipeline(self, corpus):
         config = default_config("mfcc", seed=9)
         coll = extract_features(config, corpus)

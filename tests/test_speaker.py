@@ -1,6 +1,7 @@
 import hashlib
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,14 @@ class TestDiagGmm:
     def test_variances_positive(self):
         with pytest.raises(ValueError):
             DiagGmm([1.0], np.zeros((1, 1)), np.zeros((1, 1)))
+
+    def test_keeps_read_only_copies_of_writeable_arrays(self):
+        weights, means, variances = np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2))
+        gmm = DiagGmm(weights, means, variances)
+        means[0, 0] = 5.0
+        assert gmm.means[0, 0] == 0.0
+        for array in gmm.weights, gmm.means, gmm.variances:
+            assert not array.flags.writeable
 
 
 def two_cluster_data(n=10000, centers=(0.0, 5.0), scale=0.5, seed=0):
@@ -382,6 +391,24 @@ class TestEstimateWarps:
                                           num_iters_init=5), num_iters=3,
                            **kwargs)
 
+    def test_a_round_holds_a_speakers_grid_once(self):
+        utts = speakered_utterances([(f"u{i}", f"s{i % 2}") for i in range(6)])
+        extractor = SyntheticExtractor({"s0": 0.95, "s1": 1.05})
+
+        def frames(utt, warps):  # 400 frames per utterance and warp
+            return [np.repeat(m, 8, axis=0) for m in extractor(utt, warps)]
+
+        opts = self.small_opts()
+        estimate_warps(utts, frames, opts)
+        tracemalloc.start()
+        try:
+            estimate_warps(utts, frames, opts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grid_bytes = 3 * len(warp_grid(opts)) * 400 * 2 * 8  # one speaker's
+        assert peak < 1.6 * grid_bytes
+
     def test_recovers_planted_warps(self):
         utts = speakered_utterances(
             [("u1", "s1"), ("u2", "s1"), ("u3", "s2"), ("u4", "s2")])
@@ -648,6 +675,29 @@ class TestSerialization:
         assert np.array_equal(back.weights, gmm.weights)
         assert np.array_equal(back.means, gmm.means)
         assert np.array_equal(back.variances, gmm.variances)
+
+    def test_trained_and_loaded_models_are_read_only_alike(self, tmp_path):
+        gmm = train_ubm(two_cluster_data(2000), UbmOptions(num_gauss=4), seed=0)
+        path = tmp_path / "ubm.bin"
+        save_gmm(gmm, path)
+        for model in gmm, load_gmm(path):
+            for array in model.weights, model.means, model.variances:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1.0
+
+    @pytest.mark.parametrize("weights, message", [
+        ([0.5, 0.4], "weights must be non-negative and sum to 1"),
+        ([1.0], "weights must be a vector of num_gauss entries")],
+        ids=["sum", "length"])
+    def test_load_gmm_names_the_file_of_a_malformed_model(
+            self, tmp_path, weights, message):
+        path = tmp_path / "ubm.bin"
+        items = {"weights": np.array(weights)[:, None],
+                 "means": np.zeros((2, 1)), "variances": np.ones((2, 1))}
+        FeaturesCollection({
+            name: Features(matrix, np.arange(len(matrix), dtype=float))
+            for name, matrix in items.items()}).save(path)
+        assert error_naming_file(path, load_gmm, path) == f"{path}: {message}"
 
     def test_load_gmm_rejects_other_files(self, tmp_path):
         path = tmp_path / "other.bin"
