@@ -145,13 +145,18 @@ def write_wav(path, audio):
         raise ValueError(f"a WAV header cannot hold {audio.nsamples} samples "
                          f"at {rate} Hz: the byte rate and the data size "
                          f"must fit in 32 bits")
-    ints = np.clip(np.round(audio.samples * 32768.0), -32768, 32767).astype("<i2")
-    payload = ints.tobytes()
-    header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
+    # one float64 scratch, then the int16 payload; nothing else is copied
+    scaled = np.multiply(audio.samples, 32768.0)
+    np.round(scaled, out=scaled)
+    np.clip(scaled, -32768, 32767, out=scaled)
+    ints = scaled.astype("<i2")
+    del scaled
+    header = b"RIFF" + struct.pack("<I", 36 + ints.nbytes) + b"WAVE"
     header += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, rate, rate * 2, 2, 16)
-    header += b"data" + struct.pack("<I", len(payload))
+    header += b"data" + struct.pack("<I", ints.nbytes)
     with open(path, "wb") as fp:
-        fp.write(header + payload)
+        fp.write(header)
+        fp.write(ints)
 
 
 def windowed_sinc(u, fc, half):

@@ -153,18 +153,28 @@ def extract_frames(audio, opts, seed=0):
 
     frames = _frame_view(audio.samples, m, opts) * INT16_SCALE
 
+    # at most one frame-sized temporary at a time: the noise, then the
+    # squares, whose array then takes the pre-emphasis products (holding
+    # one array from the dither on raised the peak RSS of short segments)
     if opts.dither > 0:
         rng = np.random.default_rng(seed)
-        frames += opts.dither * rng.standard_normal(frames.shape)
+        noise = rng.standard_normal(frames.shape)
+        noise *= opts.dither
+        frames += noise
+        del noise
     if opts.remove_dc_offset:
         frames -= frames.mean(axis=1, keepdims=True)
 
-    raw_energy = np.log(np.maximum((frames ** 2).sum(axis=1), TINY))
+    scratch = np.square(frames)
+    raw_energy = np.log(np.maximum(scratch.sum(axis=1), TINY))
 
     if opts.preemph_coeff != 0:
-        # later samples first, so each one still sees its predecessor
-        frames[:, 1:] -= opts.preemph_coeff * frames[:, :-1]
+        # every product first, so each sample still sees its predecessor
+        products = scratch[:, 1:]
+        np.multiply(frames[:, :-1], opts.preemph_coeff, out=products)
+        frames[:, 1:] -= products
         frames[:, 0] -= opts.preemph_coeff * frames[:, 0]
+    del scratch
 
     frames *= window_function(opts.window_type, size)
     return frames, raw_energy, frame_times(m, opts)

@@ -17,6 +17,7 @@ log pitch and the log pitch derivative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -42,6 +43,10 @@ _VITERBI_BLOCK = 64
 # multiple of eps * max|transition + forward| that the smallest Monge gap
 # of the transition must exceed, far above the 4u of rounding it covers
 _MONOTONE_MARGIN = 64
+
+# most lag states a PitchOptions may ask for: the tracker holds an [n, n]
+# transition, and the Viterbi's back pointers are int16
+MAX_LAG_STATES = 4096
 
 
 @dataclass(frozen=True)
@@ -69,6 +74,10 @@ class PitchOptions:
                              f"got {self.resample_freq}")
         if self.delta_pitch <= 0:
             raise ValueError(f"delta_pitch must be > 0, got {self.delta_pitch}")
+        count = _lag_count(self)
+        if count > MAX_LAG_STATES:
+            raise ValueError(f"the lag grid has {count} states, more than "
+                             f"the maximum {MAX_LAG_STATES}")
         for key in ("penalty_factor", "nccf_ballast"):
             value = getattr(self, key)
             if not 0 <= value < np.inf:
@@ -110,6 +119,12 @@ class PostPitchOptions:
             raise ValueError(f"delta_window must be >= 1, got {self.delta_window}")
         if self.delta_pitch_noise_stddev < 0:
             raise ValueError("delta_pitch_noise_stddev must be >= 0")
+
+
+def _lag_count(opts):
+    """len(_lag_grid(opts)), from logarithms instead of the grid itself."""
+    steps = math.log(opts.max_f0 / opts.min_f0) / math.log1p(opts.delta_pitch)
+    return math.ceil(steps) + 1
 
 
 def _lag_grid(opts):
@@ -177,10 +192,14 @@ def _monotone_argmins(local, transition):
     peak_transition = max(transition.max(), -transition.min())
     threshold = (_MONOTONE_MARGIN * np.finfo(np.float64).eps
                  * (peak_local + (m + 1) * peak_transition))
+    scratch = np.empty((2, _VITERBI_BLOCK, n - 1))
     for s in range(0, n - 1, _VITERBI_BLOCK):
         rows = transition[s:s + _VITERBI_BLOCK + 1]
-        gaps = (rows[:-1, 1:] + rows[1:, :-1]) - (rows[:-1, :-1] + rows[1:, 1:])
-        if not gaps.min() > threshold:
+        crossed, aligned = scratch[:, :len(rows) - 1]
+        np.add(rows[:-1, 1:], rows[1:, :-1], out=crossed)
+        np.add(rows[:-1, :-1], rows[1:, 1:], out=aligned)
+        crossed -= aligned
+        if not crossed.min() > threshold:
             return False
     return True
 
@@ -196,17 +215,23 @@ def _viterbi(local, transition):
     monotone (`_monotone_argmins`), those of a block lie between the
     argmins of the last row of the previous block and of its own last row,
     so only those columns are summed; otherwise every block spans the row.
+    Back pointers are kept as int16: PitchOptions allows at most
+    MAX_LAG_STATES states.
     """
     m, n = local.shape
-    states = np.arange(n)
-    back = np.zeros((m, n), dtype=np.int64)
+    back = np.zeros((m, n), dtype=np.int16)
+    best = np.empty(n, dtype=np.intp)
     starts = list(range(0, n, _VITERBI_BLOCK))
     stops = starts[1:] + [n]
+    blocks = [transition[s:e] for s, e in zip(starts, stops)]
     last_rows = transition[np.array(stops) - 1]
     last_total = np.empty_like(last_rows)
     buffer = np.empty(_VITERBI_BLOCK * n)
     lows, highs = [0] * len(starts), [n] * len(starts)
     bounded = _monotone_argmins(local, transition)
+    # transition[j, best[j]] sits at j * n + best[j] of the flat matrix
+    flat_transition = transition.ravel()
+    row_starts = np.arange(0, n * n, n)
     forward = local[0]
     for f in range(1, m):
         if bounded:
@@ -214,14 +239,15 @@ def _viterbi(local, transition):
             edges = last_total.argmin(axis=1).tolist()
             lows = [0] + edges[:-1]
             highs = [edge + 1 for edge in edges]
-        for s, e, lo, hi in zip(starts, stops, lows, highs):
+        for s, e, rows, lo, hi in zip(starts, stops, blocks, lows, highs):
             total = buffer[:(e - s) * (hi - lo)].reshape(e - s, hi - lo)
-            np.add(transition[s:e, lo:hi], forward[lo:hi], out=total)
-            block = back[f, s:e]
+            np.add(rows[:, lo:hi], forward[lo:hi], out=total)
+            block = best[s:e]
             total.argmin(axis=1, out=block)
             block += lo
-        best = back[f]
-        forward = local[f] + (transition[states, best] + forward[best])
+        back[f] = best
+        forward = local[f] + (flat_transition.take(row_starts + best)
+                              + forward.take(best))
 
     path = np.empty(m, dtype=np.int64)
     path[-1] = int(np.argmin(forward))
@@ -270,18 +296,21 @@ def estimate_pitch(audio, opts=None, framing=None):
                                    int_lags, ballast)
 
     interp = _interpolation_matrix(grid_samples, int_lags)
-    plain_grid = plain @ interp.T
-    ballasted_grid = ballasted @ interp.T
-
     # Viterbi over lag states: local cost rewards correlation at short lags,
-    # the transition cost penalizes squared log-lag jumps
-    local = 1.0 - ballasted_grid * (1.0 - opts.soft_min_f0 * lags[None, :])
+    # the transition cost penalizes squared log-lag jumps; both are built in
+    # place, and the plain NCCF grid only once the path is known
+    local = ballasted @ interp.T
+    del ballasted
+    local *= 1.0 - opts.soft_min_f0 * lags
+    np.subtract(1.0, local, out=local)
     log_lags = np.log(lags)
-    transition = opts.penalty_factor * (log_lags[None, :] - log_lags[:, None]) ** 2
+    transition = np.subtract.outer(log_lags, log_lags)
+    np.square(transition, out=transition)
+    transition *= opts.penalty_factor
     path = _viterbi(local, transition)
+    del local, transition
 
-    rows = np.arange(m)
-    nccf = np.clip(plain_grid[rows, path], -1.0, 1.0)
+    nccf = np.clip((plain @ interp.T)[np.arange(m), path], -1.0, 1.0)
     f0 = 1.0 / lags[path]
     data = np.column_stack([nccf, f0])
     params = {"sample_rate": framing.sample_rate,

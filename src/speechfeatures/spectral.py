@@ -134,19 +134,22 @@ def vtln_warp_freq(freq, warp, low_freq, high_freq, vtln_low, vtln_high):
     segments are linear and keep low_freq and high_freq fixed, so the warp
     is continuous and strictly increasing on [low_freq, high_freq].
     Frequencies outside that range pass through unchanged. Raises
-    ValueError unless warp is finite and positive.
+    ValueError unless warp is finite and positive, and, as in Kaldi, unless
+    low_freq < vtln_low and vtln_high < high_freq, which keeps both
+    inflection points strictly inside [low_freq, high_freq].
     """
     if not (math.isfinite(warp) and warp > 0):
         raise ValueError(f"vtln warp must be finite and positive, got {warp}")
+    if not low_freq < vtln_low:
+        raise ValueError(f"vtln_low {vtln_low} must be above low_freq {low_freq}")
+    if not vtln_high < high_freq:
+        raise ValueError(
+            f"vtln_high {vtln_high} must be below high_freq {high_freq}")
     low = vtln_low * max(1.0, warp)
     high = vtln_high * min(1.0, warp)
     if low >= high:
         raise ValueError(
             f"vtln inflection points cross for warp {warp}: {low} >= {high}")
-    if not (low_freq < low and high < high_freq):
-        raise ValueError(
-            f"vtln inflection points [{low}, {high}] must lie strictly "
-            f"inside [{low_freq}, {high_freq}]")
     scale = 1.0 / warp
     out_low = scale * low
     out_high = scale * high
@@ -224,6 +227,11 @@ def next_power_of_two(n):
     return nfft
 
 
+# most frames per FFT call: the complex spectra of one block are the only
+# temporary the size of the frames
+_FFT_BLOCK = 64
+
+
 def _frame_spectra(audio, opts, seed):
     """Shared front end: (power spectrum [m, nfft//2+1], log energy [m], times)."""
     frames, raw_energy, times = extract_frames(audio, opts, seed)
@@ -231,12 +239,17 @@ def _frame_spectra(audio, opts, seed):
         raise ValueError(
             f"audio too short: {audio.nsamples} samples yield no frame")
     nfft = next_power_of_two(opts.window_size)
-    spectrum = np.fft.rfft(frames, n=nfft)
-    power = spectrum.real ** 2 + spectrum.imag ** 2
+    power = np.empty((frames.shape[0], nfft // 2 + 1))
+    # rows are transformed independently, so blocks give the same bits
+    for s in range(0, frames.shape[0], _FFT_BLOCK):
+        spectrum = np.fft.rfft(frames[s:s + _FFT_BLOCK], n=nfft)
+        block = np.square(spectrum.real, out=power[s:s + _FFT_BLOCK])
+        imag = spectrum.imag
+        block += np.square(imag, out=imag)
     if opts.raw_energy:
         energy = raw_energy
     else:
-        energy = np.log(np.maximum((frames ** 2).sum(axis=1), TINY))
+        energy = np.log(np.maximum(np.square(frames, out=frames).sum(axis=1), TINY))
     if opts.energy_floor > 0:
         energy = np.maximum(energy, np.log(opts.energy_floor))
     return power, energy, times

@@ -125,6 +125,22 @@ class TestLoadWav:
         assert path.read_bytes() == out.read_bytes()
 
 
+def test_write_wav_holds_the_samples_about_once(tmp_path):
+    # one float64 scratch and the int16 payload: 5 times the payload
+    n = 200000
+    ints = int16_noise(n, seed=4)
+    audio = Audio(ints / 32768.0, 16000)
+    path = tmp_path / "x.wav"
+    tracemalloc.start()
+    try:
+        write_wav(path, audio)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == wav_bytes(ints.astype("<i2").tobytes())
+    assert peak <= 5.5 * 2 * n
+
+
 def test_write_wav_refuses_a_rate_the_header_cannot_hold(tmp_path):
     path = tmp_path / "x.wav"
     with pytest.raises(ValueError, match=re.escape(

@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import importlib.util
 import pickle
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +280,20 @@ class TestConfigFile:
                                      options=options)
         error = config_error(tmp_path, config, "vtln", **edits)
         assert f": vtln: {message}" in error
+
+    def test_vtln_high_at_the_band_edge_fails_at_load(self, tmp_path):
+        # 0 means the Nyquist frequency, which is also high_freq at 16 kHz;
+        # the check comes before any bank, so no NumPy warning escapes
+        path = tmp_path / "config.txt"
+        write_config(default_config("mfcc", with_vtln=True), path)
+        text = path.read_text()
+        assert text.count("vtln_high: -500.0") == 1
+        path.write_text(text.replace("vtln_high: -500.0", "vtln_high: 0"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            error = error_naming_file(path, read_config, path)
+        assert error == (f"{path}: vtln: warp 0.85: vtln_high 8000.0 must be "
+                         f"below high_freq 8000.0")
 
     def test_grid_check_fills_the_search_cache(self, corpus):
         # the search and the extraction build no bank the check did not

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -148,13 +150,15 @@ class TestEstimatePitch:
         ("pitch", {"lowpass_cutoff": 2500.0},
          "need max_f0 < lowpass_cutoff <= resample_freq/2, got 400.0, 2500.0"),
         ("pitch", {"delta_pitch": 0.0}, "delta_pitch must be > 0, got 0.0"),
+        ("pitch", {"delta_pitch": 0.0001},
+         "the lag grid has 20797 states, more than the maximum 4096"),
         ("pitch_postprocessing", {"delta_window": 0},
          "delta_window must be >= 1, got 0"),
         ("pitch_postprocessing", {"delta_pitch_noise_stddev": -0.1},
          "delta_pitch_noise_stddev must be >= 0"),
     ], ids=["min-f0-zero", "min-f0-above-max", "cutoff-under-max-f0",
-            "cutoff-above-half-rate", "delta-pitch", "delta-window",
-            "noise-stddev"])
+            "cutoff-above-half-rate", "delta-pitch", "lag-grid-size",
+            "delta-window", "noise-stddev"])
     def test_config_errors_name_file_block_and_key(self, tmp_path, block,
                                                    edits, message):
         error = config_error(tmp_path, default_config("mfcc", with_pitch=True),
@@ -353,6 +357,60 @@ class TestViterbiRandomized:
             .tolist() == [1]
         assert pitch._viterbi(np.zeros((4, 1)), np.zeros((1, 1))) \
             .tolist() == [0, 0, 0, 0]
+
+
+class TestLagGrid:
+    @pytest.mark.parametrize("opts", [
+        PitchOptions(), PitchOptions(delta_pitch=0.05),
+        PitchOptions(min_f0=60.0, max_f0=500.0, delta_pitch=0.01),
+        PitchOptions(min_f0=20.0, max_f0=990.0, delta_pitch=0.00097),
+        PitchOptions(delta_pitch=0.000508), PitchOptions(delta_pitch=1.0),
+        PitchOptions(min_f0=200.0, max_f0=201.0, delta_pitch=0.5),
+    ])
+    def test_count_is_the_grid_length(self, opts):
+        assert pitch._lag_count(opts) == len(pitch._lag_grid(opts))
+
+    def test_more_states_than_the_cap_rejected(self):
+        with pytest.raises(ValueError, match="^the lag grid has 20797 states, "
+                           "more than the maximum 4096$"):
+            PitchOptions(delta_pitch=1e-4)
+
+    def test_the_cap_itself_accepted(self):
+        opts = PitchOptions(delta_pitch=0.000508)
+        assert len(pitch._lag_grid(opts)) == pitch.MAX_LAG_STATES
+        with pytest.raises(ValueError, match="has 4098 states"):
+            PitchOptions(delta_pitch=0.0005077)
+
+
+class TestWorkingMemory:
+    """Bytes the tracker holds per frame and lag state."""
+
+    def test_estimate_pitch_peak_per_frame_and_state(self):
+        audio = make_tone(150, duration=30.0, amplitude=0.3)
+        cells = (num_frames(audio.nsamples, FrameOptions())
+                 * len(pitch._lag_grid(PitchOptions())))
+        tracemalloc.start()
+        try:
+            estimate_pitch(audio)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the local costs and the int16 back pointers (10 bytes), plus the
+        # NCCF windows at integer lags
+        assert peak <= 20 * cells
+
+    def test_viterbi_back_pointers_are_int16(self):
+        lags = pitch._lag_grid(PitchOptions())
+        local = np.random.default_rng(0).random((3000, len(lags)))
+        transition = squared_log_lag_transition(lags)
+        tracemalloc.start()
+        try:
+            pitch._viterbi(local, transition)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two bytes per frame and state, plus block-sized buffers
+        assert 2 * local.size < peak < 3 * local.size
 
 
 def full_grid_interpolation_matrix(grid_samples, int_lags, width):

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from speechfeatures import (Audio, FilterbankOptions, MelOptions, MfccOptions,
                             PlpOptions, SpectrogramOptions, compute_mel_banks,
                             default_config, filterbank, inverse_mel, mel, mfcc,
                             plp, spectrogram, vtln_warp_freq)
+from speechfeatures import spectral
+from speechfeatures.framing import TINY, extract_frames
 from speechfeatures.speaker import VtlnOptions, warp_grid
 from speechfeatures.spectral import (equal_loudness, levinson, lifter_coeffs,
                                      lpc_to_cepstrum, next_power_of_two,
@@ -131,6 +134,17 @@ class TestVtlnWarp:
         with pytest.raises(ValueError):
             vtln_warp_freq(500.0, 1.0, 20.0, 8000.0, 7000.0, 7000.0)
 
+    @pytest.mark.parametrize("vtln_low, vtln_high, message", [
+        (20.0, 7500.0, "vtln_low 20.0 must be above low_freq 20.0"),
+        (100.0, 8000.0, "vtln_high 8000.0 must be below high_freq 8000.0"),
+    ])
+    @pytest.mark.parametrize("warp", [0.86, 1.0, 1.1])
+    def test_cutoffs_inside_the_band(self, vtln_low, vtln_high, message, warp):
+        # checked on the cutoffs, not on the warp-scaled inflection points
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            vtln_warp_freq(1000.0, warp, self.LOW, self.HIGH, vtln_low,
+                           vtln_high)
+
     @pytest.mark.parametrize("warp", [float("nan"), float("inf"), 0.0, -1.0])
     def test_bad_warp_rejected_naming_it(self, warp):
         with pytest.raises(ValueError, match=f"finite and positive, got {warp}"):
@@ -225,11 +239,13 @@ class TestMelBanksMatchBinLoop:
                     num_bins=40), 0.9),
         # inflection points cross: 3200 * 1.15 >= 3500
         (MelOptions(vtln_low=3200.0, vtln_high=3500.0), 1.15),
-        # upper inflection point beyond high_freq
+        # vtln_high beyond high_freq
         (MelOptions(high_freq=7000.0, vtln_high=7500.0), 1.1),
-        # lower inflection point below low_freq
+        # vtln_low below low_freq
         (MelOptions(low_freq=150.0), 0.9),
         (MelOptions(), float("nan")),
+        # vtln_high at high_freq, though the scaled point 0.86 * 8000 is inside
+        (MelOptions(vtln_high=0.0), 0.86),
     ])
     def test_same_errors(self, opts, warp):
         with pytest.raises(ValueError) as expected:
@@ -310,6 +326,37 @@ class TestFilterbank:
         hottest = np.argmax(feats.data, axis=1)
         nearest = int(np.argmin(np.abs(banks.center_freqs - freq)))
         assert np.all(np.abs(hottest - nearest) <= 1)
+
+
+class TestFrameSpectra:
+    @pytest.mark.parametrize("seconds", [0.025, 0.66, 0.665, 0.67, 2.0])
+    @pytest.mark.parametrize("raw_energy", [True, False])
+    def test_row_blocks_give_the_bits_of_one_transform(self, seconds,
+                                                       raw_energy):
+        # 1, 64, 65, 66 and 198 frames: one short block, one full block,
+        # and full blocks followed by a short one
+        audio = make_voweled(120, [700, 1200, 2600], duration=seconds)
+        opts = SpectrogramOptions(raw_energy=raw_energy)
+        power, energy, _ = spectral._frame_spectra(audio, opts, seed=3)
+        frames, raw, _ = extract_frames(audio, opts, seed=3)
+        spectrum = np.fft.rfft(frames, n=512)
+        expected = spectrum.real ** 2 + spectrum.imag ** 2
+        assert power.tobytes() == expected.tobytes()
+        if not raw_energy:
+            raw = np.log(np.maximum((frames ** 2).sum(axis=1), TINY))
+        assert energy.tobytes() == raw.tobytes()
+
+    def test_mfcc_peak_on_a_long_utterance(self):
+        audio = make_tone(440, duration=30.0)
+        tracemalloc.start()
+        try:
+            mfcc(audio)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the frames and one temporary of their size (18.3 MiB), then the
+        # power and the spectra of one block of frames
+        assert peak <= 20 * 2 ** 20
 
 
 class TestMfcc:
