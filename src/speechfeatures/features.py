@@ -97,7 +97,12 @@ def frozen(array):
     """`array` if read-only, C-ordered and owning its memory, else a read-only copy."""
     if array.flags.owndata and array.flags.c_contiguous and not array.flags.writeable:
         return array
-    array = array.copy()
+    return frozen_in_place(array.copy())
+
+
+def frozen_in_place(array):
+    """`array` made read-only in place, without a copy: for an array that a
+    package function has just made and hands over, so no caller keeps it."""
     array.flags.writeable = False
     return array
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .features import Features, FeaturesCollection
+from .features import Features, FeaturesCollection, frozen_in_place
 
 __all__ = ["DeltaOptions", "CmvnOptions", "VadOptions",
            "delta", "delta_filter", "cmvn_apply", "vad"]
@@ -61,14 +61,21 @@ def delta_filter(matrix, window):
 
     d[t] = sum_k k * (x[t+k] - x[t-k]) / (2 * sum_k k^2), k = 1..window.
     """
+    out = np.empty(matrix.shape, np.result_type(matrix, 1.0))
+    return _regression_into(out, matrix, window)
+
+
+def _regression_into(out, matrix, window):
+    """delta_filter(matrix, window), written into `out` and returned."""
     m = matrix.shape[0]
     padded = np.pad(matrix, ((window, window), (0, 0)), mode="edge")
     denom = 2.0 * sum(k * k for k in range(1, window + 1))
-    out = np.zeros_like(matrix)
+    out[...] = 0.0
     for k in range(1, window + 1):
         out += k * (padded[window + k:window + k + m]
                     - padded[window - k:window - k + m])
-    return out / denom
+    out /= denom
+    return out
 
 
 def delta(feats, opts=None):
@@ -78,10 +85,13 @@ def delta(feats, opts=None):
     by each derivative order, so frame count and times are unchanged.
     """
     opts = opts or DeltaOptions()
-    blocks = [feats.data]
-    for _ in range(opts.order):
-        blocks.append(delta_filter(blocks[-1], opts.window))
-    return Features(np.hstack(blocks), feats.times,
+    m, n = feats.data.shape
+    data = np.empty((m, n * (opts.order + 1)))
+    data[:, :n] = feats.data
+    for i in range(opts.order):
+        _regression_into(data[:, (i + 1) * n:(i + 2) * n],
+                         data[:, i * n:(i + 1) * n], opts.window)
+    return Features(frozen_in_place(data), feats.times,
                     {**feats.properties, "delta": asdict(opts)})
 
 

@@ -30,6 +30,10 @@ MAX_WARPS = 128
 VAR_FLOOR_FRACTION = 1e-3
 ABSOLUTE_VAR_FLOOR = 1e-10
 
+# np.exp is exactly +0.0 below log(2**-1075) = -745.133...; `_exp_in_place`
+# writes those zeros itself, because numpy's underflow path is slow
+EXP_UNDERFLOW = -746.0
+
 
 class ExtractionError(RuntimeError):
     """Raised when utterances fail to process; carries per-utterance detail."""
@@ -119,6 +123,8 @@ class DiagGmm(ReadOnlyArrays):
             raise ValueError("means and variances must be [num_gauss, dim]")
         if weights.shape != (means.shape[0],):
             raise ValueError("weights must be a vector of num_gauss entries")
+        if not all(np.all(np.isfinite(a)) for a in (weights, means, variances)):
+            raise ValueError("weights, means and variances must be finite")
         if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-10:
             raise ValueError("weights must be non-negative and sum to 1")
         if np.any(variances <= 0):
@@ -141,25 +147,53 @@ class DiagGmm(ReadOnlyArrays):
         if frames.shape[1] != self.dim:
             raise ValueError(
                 f"frames have dimension {frames.shape[1]}, model has {self.dim}")
-        inv_var = 1.0 / self.variances
-        const = (np.log(self.weights)
-                 - 0.5 * (np.log(2.0 * np.pi * self.variances).sum(axis=1)
-                          + (self.means ** 2 * inv_var).sum(axis=1)))
-        quad = (frames ** 2) @ (0.5 * inv_var).T - frames @ (self.means * inv_var).T
-        return const[None, :] - quad
+        return _component_loglikes(
+            self, frames, np.empty((2, len(frames), self.num_gauss)))
 
     def loglikes(self, frames):
         """Per-frame mixture log-likelihood via log-sum-exp."""
         comp = self.component_loglikes(frames)
         top = comp.max(axis=1, keepdims=True)
-        return top[:, 0] + np.log(np.exp(comp - top).sum(axis=1))
+        comp -= top
+        return top[:, 0] + np.log(_exp_in_place(comp).sum(axis=1))
 
 
-def _em_step(gmm, data, min_weight, var_floor):
-    """One EM update of `gmm` on `data`; returns the new model."""
-    comp = gmm.component_loglikes(data)
-    shifted = np.exp(comp - comp.max(axis=1, keepdims=True))
-    resp = shifted / shifted.sum(axis=1, keepdims=True)
+def _component_loglikes(gmm, frames, scratch):
+    """DiagGmm.component_loglikes of [n, dim] float64 `frames`, computed in
+    the memory of `scratch`, a float64 array of at least 2 * n * num_gauss
+    entries; returns the [n, num_gauss] result, a view of `scratch`."""
+    comp, cross = scratch.reshape(-1)[:2 * len(frames) * gmm.num_gauss].reshape(
+        2, len(frames), gmm.num_gauss)
+    inv_var = 1.0 / gmm.variances
+    const = (np.log(gmm.weights)
+             - 0.5 * (np.log(2.0 * np.pi * gmm.variances).sum(axis=1)
+                      + (gmm.means ** 2 * inv_var).sum(axis=1)))
+    np.matmul(frames ** 2, (0.5 * inv_var).T, out=comp)
+    np.matmul(frames, (gmm.means * inv_var).T, out=cross)
+    comp -= cross
+    return np.subtract(const[None, :], comp, out=comp)
+
+
+def _exp_in_place(values):
+    """np.exp(values), bit for bit, written into `values` and returned.
+
+    Lanes below EXP_UNDERFLOW, -inf included, are set to +0.0 directly, as
+    np.exp would set them, without going through its slow underflow path.
+    """
+    below = values < EXP_UNDERFLOW
+    np.putmask(values, below, 0.0)
+    np.exp(values, out=values)
+    np.putmask(values, below, 0.0)
+    return values
+
+
+def _em_step(gmm, data, min_weight, var_floor, scratch):
+    """One EM update of `gmm` on `data`, with its component log-likelihoods
+    in `scratch` (as `_component_loglikes` takes it); returns the new model."""
+    resp = _component_loglikes(gmm, data, scratch)
+    resp -= resp.max(axis=1, keepdims=True)
+    _exp_in_place(resp)
+    resp /= resp.sum(axis=1, keepdims=True)
 
     counts = resp.sum(axis=0)
     weights = counts / counts.sum()
@@ -222,6 +256,8 @@ def train_ubm(source, opts=None, seed=0):
     if n < opts.num_gauss:
         raise ValueError(
             f"cannot fit {opts.num_gauss} components on {n} frames")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("training frames must be finite")
 
     global_mean = data.mean(axis=0)
     global_var = data.var(axis=0)
@@ -242,15 +278,18 @@ def train_ubm(source, opts=None, seed=0):
     variances = np.tile(np.maximum(global_var, var_floor), (g0, 1))
     gmm = DiagGmm(np.full(g0, 1.0 / g0), means, variances)
 
+    # every EM step's scores and responsibilities, for the largest model
+    scratch = np.empty((2, n, opts.num_gauss))
     for i in range(opts.num_iters_init):
-        gmm = _em_step(gmm, init_data, opts.min_gaussian_weight, var_floor)
+        gmm = _em_step(gmm, init_data, opts.min_gaussian_weight, var_floor,
+                       scratch)
         # evenly spaced splits, rounding up so they finish with EM to spare
         target = g0 + int(np.ceil(
             (i + 1) * (opts.num_gauss - g0) / opts.num_iters_init))
         while gmm.num_gauss < target:
             gmm = _split_largest(gmm)
     for _ in range(opts.num_iters):
-        gmm = _em_step(gmm, data, opts.min_gaussian_weight, var_floor)
+        gmm = _em_step(gmm, data, opts.min_gaussian_weight, var_floor, scratch)
 
     if opts.remove_low_count_gaussians:
         keep = gmm.weights >= opts.min_gaussian_weight

@@ -13,7 +13,7 @@ from speechfeatures import (Audio, CmvnOptions, DiagGmm, Features,
                             FeaturesCollection, FeaturesFormatError,
                             cmvn_apply, concatenate, delta, load_collection,
                             postprocess_pitch, save_collection)
-from speechfeatures.features import MAGIC, frozen
+from speechfeatures.features import MAGIC, frozen, frozen_in_place
 
 from conftest import assert_valid_features
 
@@ -165,6 +165,19 @@ class TestReadOnlyArrays:
         assert kept is not array and not kept.flags.writeable
         assert frozen(kept) is kept
         assert np.array_equal(kept, array)
+
+    def test_frozen_in_place_hands_the_array_over(self):
+        array = np.ones((3, 2))
+        assert frozen_in_place(array) is array and not array.flags.writeable
+        assert Features(array, [0.0, 1.0, 2.0]).data is array
+
+    def test_only_features_py_sets_the_writeable_flag(self):
+        package = os.path.dirname(frozen.__code__.co_filename)
+        setters = [name for name in sorted(os.listdir(package))
+                   if name.endswith(".py") and re.search(
+                       r"\.flags\.writeable\s*=[^=]",
+                       open(os.path.join(package, name), encoding="utf-8").read())]
+        assert setters == ["features.py"]
 
     @pytest.mark.parametrize("value, names", [
         (random_features(), ["data", "times"]),

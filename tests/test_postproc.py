@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,18 @@ def random_collection(shapes, seed=0):
 
 
 class TestDelta:
+    def test_writes_one_output_without_a_copy(self):
+        feats = feats_from(np.random.default_rng(0).standard_normal((100000, 13)))
+        tracemalloc.start()
+        try:
+            out = delta(feats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.data.flags.owndata and not out.data.flags.writeable
+        # the 3x output, the padded input and one regression term
+        assert peak <= 6.5 * feats.data.nbytes
+
     def test_constant_input_zero_deltas(self):
         feats = feats_from(np.full((30, 4), 3.25))
         out = delta(feats, DeltaOptions(order=2, window=2))

@@ -67,6 +67,59 @@ class TestGmmLoglike:
         with pytest.raises(ValueError, match="dimension"):
             gmm.loglikes(np.zeros(3))
 
+    def test_the_plain_formulas_bit_for_bit(self):
+        # narrow components far apart: most lanes lie below EXP_UNDERFLOW
+        rng = np.random.default_rng(7)
+        gmm = DiagGmm(rng.dirichlet(np.ones(64)),
+                      10.0 * rng.standard_normal((64, 13)),
+                      rng.uniform(0.05, 2.0, (64, 13)))
+        frames = 10.0 * rng.standard_normal((354, 13))
+        inv_var = 1.0 / gmm.variances
+        const = (np.log(gmm.weights)
+                 - 0.5 * (np.log(2.0 * np.pi * gmm.variances).sum(axis=1)
+                          + (gmm.means ** 2 * inv_var).sum(axis=1)))
+        comp = const[None, :] - ((frames ** 2) @ (0.5 * inv_var).T
+                                 - frames @ (gmm.means * inv_var).T)
+        top = comp.max(axis=1, keepdims=True)
+        assert np.mean(comp - top < speaker.EXP_UNDERFLOW) > 0.5
+        assert np.array_equal(gmm.component_loglikes(frames), comp)
+        assert np.array_equal(gmm.loglikes(frames),
+                              top[:, 0] + np.log(np.exp(comp - top).sum(axis=1)))
+
+        # an EM step leaves the plain responsibilities in its scratch
+        scratch = np.empty((2, 400, 70))
+        speaker._em_step(gmm, frames, 0.0, np.full(13, 1e-3), scratch)
+        shifted = np.exp(comp - top)
+        resp = scratch.reshape(-1)[:comp.size].reshape(comp.shape)
+        assert np.array_equal(resp, shifted / shifted.sum(axis=1, keepdims=True))
+
+
+class TestExactZeros:
+    def test_exp_is_positive_zero_below_the_constant(self):
+        edge = speaker.EXP_UNDERFLOW
+        below = np.concatenate([
+            edge - np.arange(1, 100001) * np.spacing(edge),
+            np.linspace(edge, edge - 100.0, 1000001)[1:],
+            [-1e4, -1e300, -np.finfo(np.float64).max, -np.inf]])
+        # +0.0 is the all-zero bit pattern
+        assert not np.any(np.exp(below).view(np.uint64))
+
+    def test_helper_is_exp_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        edges = np.array([speaker.EXP_UNDERFLOW, -745.1332191019412, -708.4])
+        values = np.concatenate([
+            [np.nan, -np.nan, -np.inf, 0.0, -0.0, 1.0, 700.0],
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            rng.uniform(-745.2, -708.4, 4000),   # subnormal results
+            rng.uniform(-800.0, -700.0, 4000),
+            rng.uniform(-50.0, 0.0, 4000)])
+        values = rng.permutation(values)[:12000].reshape(375, 32)
+        expected = np.exp(values)
+        got = speaker._exp_in_place(values)
+        assert got is values
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        assert np.any((expected > 0) & (expected < np.finfo(np.float64).tiny))
+
 
 class TestDiagGmm:
     def test_weights_must_sum_to_one(self):
@@ -92,6 +145,21 @@ class TestDiagGmm:
     def test_variances_positive(self):
         with pytest.raises(ValueError):
             DiagGmm([1.0], np.zeros((1, 1)), np.zeros((1, 1)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("weights, means, variances", [
+        ([np.nan, np.nan], [[0.0], [1.0]], [[1.0], [1.0]]),
+        ([0.5, 0.5], [[np.nan], [1.0]], [[1.0], [1.0]]),
+        ([0.5, 0.5], [[0.0], [np.inf]], [[1.0], [1.0]]),
+        ([0.5, 0.5], [[0.0], [-np.inf]], [[1.0], [1.0]]),
+        ([0.5, 0.5], [[0.0], [1.0]], [[1.0], [np.nan]]),
+        ([0.5, 0.5], [[0.0], [1.0]], [[np.inf], [1.0]]),
+    ], ids=["nan-weights", "nan-mean", "inf-mean", "minus-inf-mean",
+            "nan-variance", "inf-variance"])
+    def test_non_finite_parameters_rejected(self, weights, means, variances):
+        with pytest.raises(ValueError, match="^weights, means and variances "
+                                             "must be finite$"):
+            DiagGmm(weights, means, variances)
 
     def test_keeps_read_only_copies_of_writeable_arrays(self):
         weights, means, variances = np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2))
@@ -154,13 +222,13 @@ class TestTrainUbm:
 
     def test_one_likelihood_pass_per_em_step(self, monkeypatch):
         calls = []
-        component_loglikes = DiagGmm.component_loglikes
+        component_loglikes = speaker._component_loglikes
 
-        def counting(gmm, frames):
+        def counting(gmm, frames, scratch):
             calls.append(len(frames))
-            return component_loglikes(gmm, frames)
+            return component_loglikes(gmm, frames, scratch)
 
-        monkeypatch.setattr(DiagGmm, "component_loglikes", counting)
+        monkeypatch.setattr(speaker, "_component_loglikes", counting)
         rng = np.random.default_rng(4)
         opts = UbmOptions()
         gmm = train_ubm(rng.standard_normal((1062, 13)), opts, seed=0)
@@ -193,6 +261,25 @@ class TestTrainUbm:
     def test_degenerate_data_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             train_ubm(np.full((100, 2), 1.5), UbmOptions(num_gauss=2))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frames_rejected(self, value):
+        data = np.random.default_rng(0).standard_normal((200, 3))
+        data[17, 1] = value
+        with pytest.raises(ValueError, match="^training frames must be finite$"):
+            train_ubm(data, UbmOptions(num_gauss=4))
+
+    def test_one_scratch_per_training(self):
+        # EM holds one [2, n, num_gauss] scratch and little else of that size
+        data = np.random.default_rng(4).standard_normal((1062, 13))
+        tracemalloc.start()
+        try:
+            train_ubm(data, UbmOptions(), seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * data.shape[0] * UbmOptions().num_gauss * 8
 
     def test_subsampling_cap(self):
         data = two_cluster_data(4000)
