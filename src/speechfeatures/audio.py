@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .features import ReadOnlyArrays, frozen, read_text
+from .features import ReadOnlyArrays, frozen, frozen_in_place, read_text
 
 __all__ = [
     "Audio", "Utterance", "Utterances",
@@ -69,16 +70,29 @@ class Audio(ReadOnlyArrays):
         return f"Audio({self.nsamples} samples @ {self.sample_rate} Hz)"
 
 
-def _read_chunks(data, path):
-    """Yield (chunk id, payload) pairs of a RIFF stream, skipping pad bytes."""
+def _read_exactly(fp, size, path):
+    """The next `size` bytes of `fp`, or WavFormatError if the file ends first."""
+    data = fp.read(size)
+    if len(data) < size:  # the file shrank after its chunks were checked
+        raise WavFormatError(f"{path}: file changed while reading")
+    return data
+
+
+def _read_chunks(fp, path):
+    """Yield (chunk id, payload offset, payload size) of an open RIFF file,
+    each with `fp` at the start of the payload.
+
+    Only the 8-byte chunk headers are read, and pad bytes are skipped. A
+    chunk whose payload runs past the end of the file raises WavFormatError.
+    """
+    end = fp.seek(0, os.SEEK_END)
     pos = 12
-    while pos + 8 <= len(data):
-        cid = bytes(data[pos:pos + 4])
-        size, = struct.unpack_from("<I", data, pos + 4)
-        payload = data[pos + 8:pos + 8 + size]
-        if len(payload) < size:
+    while pos + 8 <= end:
+        fp.seek(pos)
+        cid, size = struct.unpack("<4sI", _read_exactly(fp, 8, path))
+        if pos + 8 + size > end:
             raise WavFormatError(f"{path}: truncated chunk {cid!r}")
-        yield cid, payload
+        yield cid, pos + 8, size
         pos += 8 + size + (size & 1)
 
 
@@ -89,47 +103,57 @@ U32_MAX = 2**32 - 1
 _ENCODINGS = {(1, 8): ("u1", 128, 128), (1, 16): ("<i2", 0, 32768),
               (1, 32): ("<i4", 0, 2**31), (3, 32): ("<f4", 0, 1)}
 
+# samples decoded per read of the data chunk: load_wav's only scratch
+_DECODE_BLOCK = 1 << 16
+
 
 def load_wav(path):
     """Load a mono WAV file into an Audio.
 
     Integer samples are scaled to [-1, 1] by the type's maximum magnitude
     (e.g. 2**15 for 16-bit); 32-bit float samples are taken as stored.
+    The data chunk is read block by block into the one float64 array the
+    Audio keeps, so the load holds the samples about once.
 
     Raises FileNotFoundError, WavFormatError, WavChannelError or
     WavEncodingError.
     """
     with open(path, "rb") as fp:
-        data = fp.read()
-    if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise WavFormatError(f"{path}: not a RIFF/WAVE file")
+        head = fp.read(12)
+        if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
+            raise WavFormatError(f"{path}: not a RIFF/WAVE file")
 
-    fmt = None
-    payload = None
-    # chunks sliced from a memoryview share the file's bytes, with no copy
-    for cid, chunk in _read_chunks(memoryview(data), path):
-        if cid == b"fmt " and fmt is None:
-            if len(chunk) < 16:
-                raise WavFormatError(f"{path}: fmt chunk too short")
-            fmt = struct.unpack_from("<HHIIHH", chunk, 0)
-        elif cid == b"data" and payload is None:
-            payload = chunk
-    if fmt is None or payload is None:
-        raise WavFormatError(f"{path}: missing fmt or data chunk")
+        fmt = data = None
+        for cid, start, size in _read_chunks(fp, path):
+            if cid == b"fmt " and fmt is None:
+                if size < 16:
+                    raise WavFormatError(f"{path}: fmt chunk too short")
+                fmt = struct.unpack("<HHIIHH", _read_exactly(fp, 16, path))
+            elif cid == b"data" and data is None:
+                data = start, size
+        if fmt is None or data is None:
+            raise WavFormatError(f"{path}: missing fmt or data chunk")
 
-    code, channels, rate, _byte_rate, _block_align, bits = fmt
-    if channels != 1:
-        raise WavChannelError(f"{path}: expected mono, got {channels} channels")
-    if rate <= 0:
-        raise WavFormatError(f"{path}: invalid sample rate {rate}")
+        code, channels, rate, _byte_rate, _block_align, bits = fmt
+        if channels != 1:
+            raise WavChannelError(f"{path}: expected mono, got {channels} channels")
+        if rate <= 0:
+            raise WavFormatError(f"{path}: invalid sample rate {rate}")
 
-    if (code, bits) not in _ENCODINGS:
-        raise WavEncodingError(f"{path}: unsupported encoding (format {code}, {bits} bit)")
-    dtype, offset, scale = _ENCODINGS[code, bits]
-    size = np.dtype(dtype).itemsize
-    raw = np.frombuffer(payload[:len(payload) // size * size], dtype=dtype)
-    samples = (raw.astype(np.float64) - offset) / scale
-    return Audio(samples, int(rate))
+        if (code, bits) not in _ENCODINGS:
+            raise WavEncodingError(f"{path}: unsupported encoding (format {code}, {bits} bit)")
+        dtype, offset, scale = _ENCODINGS[code, bits]
+        itemsize = np.dtype(dtype).itemsize
+        # (stored - offset) / scale, one block at a time in the output itself
+        samples = np.empty(data[1] // itemsize)
+        fp.seek(data[0])
+        for lo in range(0, samples.size, _DECODE_BLOCK):
+            block = samples[lo:lo + _DECODE_BLOCK]
+            block[:] = np.frombuffer(_read_exactly(fp, block.size * itemsize, path), dtype)
+            if offset:
+                block -= offset
+            block /= scale
+    return Audio(frozen_in_place(samples), int(rate))
 
 
 def write_wav(path, audio):
@@ -248,8 +272,9 @@ def resample(audio, target_rate):
     target_rate = _whole_hz(target_rate, "target rate")
     if target_rate == audio.sample_rate:
         return audio
-    return Audio(sinc_resample(audio.samples, audio.sample_rate, target_rate),
-                 target_rate)
+    # sinc_resample's output is new, so the Audio keeps it without a copy
+    return Audio(frozen_in_place(
+        sinc_resample(audio.samples, audio.sample_rate, target_rate)), target_rate)
 
 
 def segment(audio, onset, offset):
@@ -259,6 +284,7 @@ def segment(audio, onset, offset):
             f"invalid segment [{onset}, {offset}] for {audio.duration:.3f} s audio")
     lo = int(math.floor(onset * audio.sample_rate))
     hi = int(math.floor(offset * audio.sample_rate))
+    # the Audio copies the slice, so a segment does not pin its recording
     return Audio(audio.samples[lo:hi], audio.sample_rate)
 
 

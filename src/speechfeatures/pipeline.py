@@ -15,6 +15,7 @@ import concurrent.futures
 import dataclasses
 import functools
 import hashlib
+import os
 import sys
 import typing
 from dataclasses import dataclass, asdict
@@ -260,8 +261,29 @@ def derive_seed(seed, label):
     return int.from_bytes(digest[:8], "little")
 
 
+# the one decoded recording this process holds, keyed by (path,
+# st_mtime_ns, st_size); extract_features empties it before it returns
+_recording = {}
+
+
+def _load_recording(path):
+    """The decoded recording at `path`, decoded again only once it changes.
+
+    Segments cut one after another from a recording decode it once. A miss
+    drops the held recording before decoding, so two are never alive at
+    once, and a failed read is never held.
+    """
+    stat = os.stat(path)
+    key = (path, stat.st_mtime_ns, stat.st_size)
+    audio = _recording.get(key)
+    if audio is None:
+        _recording.clear()
+        audio = _recording[key] = load_wav(path)
+    return audio
+
+
 def _load_utterance_audio(utt, sample_rate):
-    audio = load_wav(utt.audio_path)
+    audio = _load_recording(utt.audio_path)
     if utt.onset is not None:
         audio = segment(audio, utt.onset, utt.offset)
     return resample(audio, sample_rate)
@@ -330,7 +352,8 @@ def extract_features(config, utterances, njobs=1):
 
     The warp search runs in the calling process. Then, with njobs > 1, one
     pool of min(njobs, number of utterances) worker processes extracts the
-    utterances.
+    utterances. Each process decodes a recording once for a run of
+    utterances cut from it, and none is held once the call returns.
     """
     if njobs < 1:
         raise ValueError(f"njobs must be >= 1, got {njobs}")
@@ -342,22 +365,25 @@ def extract_features(config, utterances, njobs=1):
         raise ValueError(
             "this configuration requires speaker information in the manifest")
 
-    warps = {name: 1.0 for name in (u.name for u in utterances)}
-    if config.vtln is not None:
-        extractor = functools.partial(
-            _warped_mfccs, opts=_search_options(config),
-            seed=derive_seed(config.seed, "::vtln-features"))
-        speaker_warps = estimate_warps(
-            utterances, extractor, config.vtln,
-            seed=derive_seed(config.seed, "::vtln-ubm"))
-        warps = {u.name: speaker_warps[u.speaker] for u in utterances}
+    try:
+        warps = {name: 1.0 for name in (u.name for u in utterances)}
+        if config.vtln is not None:
+            extractor = functools.partial(
+                _warped_mfccs, opts=_search_options(config),
+                seed=derive_seed(config.seed, "::vtln-features"))
+            speaker_warps = estimate_warps(
+                utterances, extractor, config.vtln,
+                seed=derive_seed(config.seed, "::vtln-ubm"))
+            warps = {u.name: speaker_warps[u.speaker] for u in utterances}
 
-    tasks = [(config, utt, warps[utt.name]) for utt in utterances]
-    # the pool forks all its workers at once, so start no idle ones
-    workers = min(njobs, len(tasks))
-    if workers <= 1:
-        outcomes = list(map(_extract_task, tasks))
-    else:
+        tasks = [(config, utt, warps[utt.name]) for utt in utterances]
+        # the pool forks all its workers at once, so start no idle ones
+        workers = min(njobs, len(tasks))
+        outcomes = list(map(_extract_task, tasks)) if workers <= 1 else None
+    finally:
+        # the call returns, and the pool forks, with no recording held
+        _recording.clear()
+    if outcomes is None:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_extract_task, tasks))
 

@@ -154,16 +154,23 @@ def _frame_nccf(signal, frame_starts, window_size, int_lags, ballast):
     span = window_size + last_lag
     padded = np.pad(signal, (0, max(0, frame_starts[-1] + span - len(signal))))
     windows = padded[frame_starts[:, None] + np.arange(span)[None, :]]
+    del padded
 
-    squares = np.concatenate(
-        [np.zeros((windows.shape[0], 1)), np.cumsum(windows ** 2, axis=1)], axis=1)
+    # cumulative energies, column 0 zero, summed in place in one array
+    squares = np.empty((windows.shape[0], span + 1))
+    squares[:, 0] = 0.0
+    np.square(windows, out=squares[:, 1:])
+    np.cumsum(squares[:, 1:], axis=1, out=squares[:, 1:])
     e1 = squares[:, window_size] - squares[:, 0]
-    e2 = squares[:, int_lags + window_size] - squares[:, int_lags]
+    e2 = squares[:, int_lags + window_size]
+    e2 -= squares[:, int_lags]
+    del squares
 
     inner = np.empty((windows.shape[0], len(int_lags)))
     head = windows[:, :window_size]
     for j, lag in enumerate(int_lags):
         inner[:, j] = np.einsum("mt,mt->m", head, windows[:, lag:lag + window_size])
+    del windows, head
 
     def normalize(extra):
         denom = np.sqrt((e1[:, None] + extra) * (e2 + extra))

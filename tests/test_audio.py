@@ -1,3 +1,4 @@
+import io
 import math
 import re
 import struct
@@ -99,8 +100,7 @@ class TestLoadWav:
         assert str(info.value) == f"{path}: {message}"
 
     def test_load_holds_the_samples_about_twice(self, tmp_path):
-        # the file's bytes, two float64 arrays at a time while scaling, and
-        # no copy of the data chunk (2.5 times the samples with one)
+        # a loose bound; the next test holds a load to 1.5 times the samples
         n = 200000
         ints = int16_noise(n, seed=3)
         path = tmp_path / "x.wav"
@@ -113,6 +113,46 @@ class TestLoadWav:
             tracemalloc.stop()
         assert np.array_equal(audio.samples, ints / 32768.0)
         assert peak < 2.4 * 8 * n
+
+    @pytest.mark.parametrize("dtype, bits, code, offset, scale", [
+        ("u1", 8, 1, 128, 128), ("<i2", 16, 1, 0, 32768),
+        ("<i4", 32, 1, 0, 2**31), ("<f4", 32, 3, 0, 1)])
+    def test_decodes_into_the_samples_it_keeps(self, tmp_path, dtype, bits,
+                                               code, offset, scale):
+        # more than one read block (2**16 samples), the last one partial
+        n = 200000
+        rng = np.random.default_rng(bits + code)
+        if dtype == "<f4":
+            stored = rng.uniform(-1, 1, n).astype(dtype)
+        else:
+            info = np.iinfo(dtype)
+            stored = rng.integers(info.min, info.max, n, endpoint=True).astype(dtype)
+        path = tmp_path / "x.wav"
+        path.write_bytes(wav_bytes(stored.tobytes(), bits=bits, code=code))
+        tracemalloc.start()
+        try:
+            audio = load_wav(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        expected = (stored.astype(np.float64) - offset) / scale
+        assert audio.samples.tobytes() == expected.tobytes()
+        # the samples and one read block (1.13-1.17); the decode that kept
+        # the file's bytes and scaled into new arrays read 2.13-2.50
+        assert peak <= 1.5 * 8 * n
+        assert audio.samples.flags.owndata and not audio.samples.flags.writeable
+
+    def test_a_partial_last_sample_is_dropped(self, tmp_path):
+        path = tmp_path / "x.wav"
+        payload = np.array([2 ** 30, -2 ** 31], "<i4").tobytes() + b"\x01\x02"
+        path.write_bytes(wav_bytes(payload, bits=32))
+        assert np.array_equal(load_wav(path).samples, [0.5, -1.0])
+
+    def test_a_read_cut_short_names_the_file(self):
+        # a file that shrinks after its chunks were checked
+        with pytest.raises(WavFormatError) as info:
+            audio_module._read_exactly(io.BytesIO(b"abc"), 4, "x.wav")
+        assert str(info.value) == "x.wav: file changed while reading"
 
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -192,6 +232,17 @@ class TestResample:
         assert out.sample_rate == 16000
         bin_width = 16000 / out.nsamples
         assert abs(dominant_frequency(out) - 440) <= bin_width
+
+    def test_keeps_the_resampled_array_without_a_copy(self, monkeypatch):
+        made = []
+
+        def recording(*args, **kwargs):
+            made.append(sinc_resample(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(audio_module, "sinc_resample", recording)
+        out = resample(make_tone(440, duration=0.1), 8000)
+        assert out.samples is made[0] and not out.samples.flags.writeable
 
     def test_length_ratio(self):
         audio = Audio(np.zeros(16000), 16000)
@@ -380,6 +431,8 @@ class TestSegment:
         out = segment(audio, 0.25, 0.5)
         assert out.nsamples == 4000
         assert np.array_equal(out.samples, audio.samples[4000:8000])
+        # a copy of its own: the segment does not keep the recording alive
+        assert out.samples.flags.owndata
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

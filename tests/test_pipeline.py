@@ -1,15 +1,19 @@
 import concurrent.futures
 import dataclasses
+import gc
 import importlib.util
+import os
 import pickle
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from speechfeatures import (Audio, ExtractionError, PipelineConfig,
-                            PitchOptions, Utterance, Utterances, VtlnOptions,
+from speechfeatures import (Audio, ExtractionError, FeaturesCollection,
+                            PipelineConfig, PitchOptions, Utterance,
+                            Utterances, VtlnOptions,
                             compute_mel_banks, default_config,
                             extract_features, load_wav, mfcc, read_config,
                             write_config, write_wav)
@@ -507,3 +511,152 @@ class TestExtractFeatures:
                     assert np.array_equal(forward[name].data, backward[name].data)
                     assert (forward[name].properties.get("vtln_warp")
                             == backward[name].properties.get("vtln_warp"))
+
+
+@pytest.fixture
+def segments(tmp_path):
+    """An ABX-shaped manifest: 3 recordings at 22.05 kHz, cut into 4
+    segments each, listed recording by recording."""
+    items = []
+    for r in range(3):
+        path = tmp_path / f"rec{r}.wav"
+        write_wav(path, make_voweled(110 + 40 * r, [500 + 100 * r, 1500],
+                                     duration=1.0, rate=22050, seed=r))
+        items += [Utterance(f"rec{r}seg{k}", str(path), speaker=f"spk{r}",
+                            onset=0.2 * k, offset=0.2 * k + 0.15)
+                  for k in range(4)]
+    return Utterances(items)
+
+
+def counting_load_wav(monkeypatch):
+    """The paths pipeline.load_wav is called with, from now on, in order."""
+    calls = []
+
+    def counting(path):
+        calls.append(path)
+        return load_wav(path)
+
+    monkeypatch.setattr(pipeline, "load_wav", counting)
+    return calls
+
+
+def container_bytes(coll, path, names):
+    """The binary container of `coll`'s items `names`, in that order."""
+    FeaturesCollection({name: coll[name] for name in names}).save(path)
+    return path.read_bytes()
+
+
+class TestOneDecodePerRecording:
+    def test_segments_of_a_recording_decode_it_once(self, segments, monkeypatch):
+        calls = counting_load_wav(monkeypatch)
+        extract_features(default_config("plp", with_delta=True), segments)
+        assert calls == [u.audio_path for u in segments.items[::4]]
+
+    def test_a_miss_drops_the_held_recording_before_decoding(self, segments,
+                                                             monkeypatch):
+        held = []
+
+        def checking(path):
+            held.append(len(pipeline._recording))
+            return load_wav(path)
+
+        monkeypatch.setattr(pipeline, "load_wav", checking)
+        interleaved = Utterances(sorted(segments, key=lambda u: u.onset))
+        extract_features(default_config("plp"), interleaved)
+        # every segment misses, and no decode starts beside a held recording
+        assert held == [0] * len(interleaved)
+
+    def test_same_bytes_at_any_njobs_and_order(self, segments, tmp_path):
+        config = default_config("plp", with_delta=True, seed=4)
+        names = [u.name for u in segments]
+        # one segment of each recording in turn: every read is a miss
+        interleaved = Utterances(sorted(segments, key=lambda u: u.onset))
+        expected = container_bytes(extract_features(config, segments),
+                                   tmp_path / "serial.bin", names)
+        for utterances, njobs in (segments, 2), (interleaved, 1), (interleaved, 2):
+            coll = extract_features(config, utterances, njobs=njobs)
+            assert container_bytes(coll, tmp_path / "other.bin", names) == expected
+
+    def test_no_recording_is_held_after_the_call(self, segments, corpus,
+                                                 monkeypatch):
+        decoded = []
+
+        def tracking(path):
+            audio = load_wav(path)
+            decoded.append(weakref.ref(audio))
+            return audio
+
+        monkeypatch.setattr(pipeline, "load_wav", tracking)
+        extract_features(default_config("plp"), segments)
+        extract_features(small_vtln_config(), corpus)
+        gc.collect()
+        # the serial map and the warp search both decoded in this process
+        assert len(decoded) > 3
+        assert all(ref() is None for ref in decoded)
+        assert pipeline._recording == {}
+
+    def test_the_pool_forks_with_no_recording_held(self, corpus, monkeypatch):
+        pool_class = concurrent.futures.ProcessPoolExecutor
+        held = []
+
+        def recording_pool(max_workers):
+            held.append(dict(pipeline._recording))
+            return pool_class(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            recording_pool)
+        serial = extract_features(small_vtln_config(), corpus)
+        assert extract_features(small_vtln_config(), corpus, njobs=2) == serial
+        # the warp search decoded in this process before the pool started
+        assert held == [{}]
+
+    def test_a_recording_rewritten_between_calls_is_decoded_again(
+            self, segments, monkeypatch):
+        path = segments.items[0].audio_path
+        clip = Utterances(segments.items[:2])
+        config = default_config("plp")
+        before = extract_features(config, clip)
+        write_wav(path, make_voweled(300, [900, 2000], duration=1.1, rate=22050))
+        calls = counting_load_wav(monkeypatch)
+        after = extract_features(config, clip)
+        assert calls == [path]
+        assert after != before
+        assert after == extract_features(config, clip)
+
+    @pytest.mark.parametrize("same_size", [False, True],
+                             ids=["new-size", "new-mtime"])
+    def test_the_held_recording_follows_its_file(self, tmp_path, monkeypatch,
+                                                 same_size):
+        monkeypatch.setattr(pipeline, "_recording", {})
+        path = str(tmp_path / "rec.wav")
+        write_wav(path, make_voweled(120, [700, 1200], duration=0.5))
+        first = pipeline._load_recording(path)
+        assert pipeline._load_recording(path) is first
+        mtime = os.stat(path).st_mtime_ns
+        write_wav(path, make_voweled(240, [700, 1200],
+                                     duration=0.5 if same_size else 0.6))
+        # a rewrite within one clock tick keeps the mtime: set a new one
+        os.utime(path, ns=(mtime + 10**9, mtime + 10**9))
+        second = pipeline._load_recording(path)
+        assert second == load_wav(path) and second != first
+
+    @pytest.mark.parametrize("content", [None, b"not a wav file"],
+                             ids=["missing", "malformed"])
+    def test_a_failed_read_fails_every_segment_and_is_not_held(
+            self, segments, monkeypatch, content):
+        path = segments.items[4].audio_path
+        os.remove(path)
+        if content is None:
+            message = f"FileNotFoundError: [Errno 2] No such file or directory: '{path}'"
+        else:
+            with open(path, "wb") as fp:
+                fp.write(content)
+            message = f"WavFormatError: {path}: not a RIFF/WAVE file"
+        calls = counting_load_wav(monkeypatch)
+        with pytest.raises(ExtractionError) as info:
+            extract_features(default_config("plp"), segments)
+        assert info.value.failures == {u.name: message for u in segments.items[4:8]}
+        # each segment of the broken recording tries again
+        reads = [call for call in calls if call == path]
+        assert len(reads) == (0 if content is None else 4)
+        assert pipeline._recording == {}

@@ -399,6 +399,29 @@ class TestWorkingMemory:
         # NCCF windows at integer lags
         assert peak <= 20 * cells
 
+    def test_frame_nccf_holds_the_windows_about_three_times(self, monkeypatch):
+        calls = []
+        frame_nccf = pitch._frame_nccf
+
+        def recording(*args):
+            calls.append(args)
+            return frame_nccf(*args)
+
+        monkeypatch.setattr(pitch, "_frame_nccf", recording)
+        estimate_pitch(make_tone(150, duration=30.0, amplitude=0.3))
+        (signal, frame_starts, window_size, int_lags, ballast), = calls
+        windows = 8 * len(frame_starts) * (window_size + int(int_lags[-1]))
+        tracemalloc.start()
+        try:
+            frame_nccf(signal, frame_starts, window_size, int_lags, ballast)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the windows, their cumulative energies and the lag energies (2.87
+        # times the windows); with the windows' squares, their cumulative
+        # sum and a padded copy of it alive together it read 4.44
+        assert peak <= 3.25 * windows
+
     def test_viterbi_back_pointers_are_int16(self):
         lags = pitch._lag_grid(PitchOptions())
         local = np.random.default_rng(0).random((3000, len(lags)))
@@ -540,3 +563,39 @@ class TestPostprocessPitch:
         bad = Features(np.ones((5, 3)), np.arange(5, dtype=float))
         with pytest.raises(ValueError, match="2 channels"):
             postprocess_pitch(bad)
+
+
+def reference_frame_nccf(signal, frame_starts, window_size, int_lags, ballast):
+    """_frame_nccf with the cumulative energies of a padded cumsum."""
+    span = window_size + int(int_lags[-1])
+    padded = np.pad(signal, (0, max(0, frame_starts[-1] + span - len(signal))))
+    windows = padded[frame_starts[:, None] + np.arange(span)[None, :]]
+    squares = np.concatenate(
+        [np.zeros((windows.shape[0], 1)), np.cumsum(windows ** 2, axis=1)], axis=1)
+    e1 = squares[:, window_size] - squares[:, 0]
+    e2 = squares[:, int_lags + window_size] - squares[:, int_lags]
+    inner = np.stack([np.einsum("mt,mt->m", windows[:, :window_size],
+                                windows[:, lag:lag + window_size])
+                      for lag in int_lags], axis=1)
+
+    def normalize(extra):
+        denom = np.sqrt((e1[:, None] + extra) * (e2 + extra))
+        out = np.zeros_like(inner)
+        np.divide(inner, denom, out=out, where=denom > 0)
+        return out
+
+    return normalize(0.0), normalize(ballast)
+
+
+@pytest.mark.parametrize("nsamples, step", [(4000, 40), (3999, 37), (250, 50)],
+                         ids=["even", "ragged", "past-the-end"])
+def test_frame_nccf_matches_the_padded_cumsum_bit_for_bit(nsamples, step):
+    signal = np.random.default_rng(nsamples).standard_normal(nsamples)
+    # a silent stretch: zero energies take the zero branch of the division
+    signal[1000:1400] = 0.0
+    frame_starts = np.arange(0, nsamples - 60, step)
+    int_lags = np.arange(12, 81)
+    got = pitch._frame_nccf(signal, frame_starts, 100, int_lags, 1e-3)
+    expected = reference_frame_nccf(signal, frame_starts, 100, int_lags, 1e-3)
+    for a, b in zip(got, expected):
+        assert a.tobytes() == b.tobytes()
