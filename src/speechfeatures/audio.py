@@ -7,6 +7,7 @@ PCM integer 8/16/32 bit or 32 bit float, single channel).
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import os
@@ -316,9 +317,9 @@ class Utterances:
 
     def __init__(self, items):
         items = tuple(items)
-        names = [u.name for u in items]
-        if len(set(names)) != len(names):
-            dup = sorted({n for n in names if names.count(n) > 1})
+        counts = collections.Counter(u.name for u in items)
+        if len(counts) != len(items):
+            dup = sorted(n for n, count in counts.items() if count > 1)
             raise ValueError(f"duplicate utterance names: {', '.join(dup)}")
         with_speaker = [u for u in items if u.speaker is not None]
         if with_speaker and len(with_speaker) != len(items):
@@ -365,6 +366,12 @@ def _is_number(token):
         return False
 
 
+# manifest shapes by field count: a 4- or 5-field line ends with the onset
+# and the offset, and the speaker of a 3-field line is never a number
+_SHAPES = {2: "name-wav", 3: "name-wav-speaker", 4: "name-wav-onset-offset",
+           5: "name-wav-speaker-onset-offset"}
+
+
 def parse_utterances(path):
     """Parse a plain-text utterance manifest into an Utterances.
 
@@ -376,7 +383,7 @@ def parse_utterances(path):
         <name> <wav> <onset> <offset>
         <name> <wav> <speaker> <onset> <offset>
 
-    A third field that parses as a number selects the onset/offset shape.
+    Onsets and offsets are numbers; the speaker of a 3-field line is not.
     """
     return read_text(path, _utterances_from_lines)
 
@@ -389,23 +396,13 @@ def _utterances_from_lines(lines):
         if not line:
             continue
         tokens = line.split()
-        n = len(tokens)
-        if n == 2:
-            this_shape = "name-wav"
-            utt = Utterance(tokens[0], tokens[1])
-        elif n == 3 and not _is_number(tokens[2]):
-            this_shape = "name-wav-speaker"
-            utt = Utterance(tokens[0], tokens[1], speaker=tokens[2])
-        elif n == 4 and _is_number(tokens[2]) and _is_number(tokens[3]):
-            this_shape = "name-wav-onset-offset"
-            utt = Utterance(tokens[0], tokens[1],
-                            onset=float(tokens[2]), offset=float(tokens[3]))
-        elif n == 5 and _is_number(tokens[3]) and _is_number(tokens[4]):
-            this_shape = "name-wav-speaker-onset-offset"
-            utt = Utterance(tokens[0], tokens[1], speaker=tokens[2],
-                            onset=float(tokens[3]), offset=float(tokens[4]))
-        else:
+        this_shape = _SHAPES.get(len(tokens), "")
+        speaker = tokens[2] if "speaker" in this_shape else None
+        bounds = tokens[-2:] if "onset" in this_shape else []
+        if (not this_shape or not all(map(_is_number, bounds))
+                or (len(tokens) == 3 and _is_number(speaker))):
             raise ValueError(f"line {lineno}: unparsable utterance line: {line!r}")
+        utt = Utterance(tokens[0], tokens[1], speaker, *map(float, bounds))
         if shape is None:
             shape = this_shape
         elif this_shape != shape:

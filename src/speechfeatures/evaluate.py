@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import read_text
+from .features import frame_matrix, read_text
 
 __all__ = ["PitchEval", "AbxTriplet", "mae", "ger", "dtw_cosine",
            "abx_score", "load_triplets"]
@@ -56,11 +56,6 @@ def ger(pitch_eval):
     truth = pitch_eval.ground_truth[mask]
     err = np.abs(pitch_eval.estimates[mask] - truth)
     return float(100.0 * np.mean(err > 0.05 * truth))
-
-
-def _frames(features):
-    data = getattr(features, "data", features)
-    return np.atleast_2d(np.asarray(data, dtype=np.float64))
 
 
 def _cosine_cost(a, b):
@@ -167,8 +162,8 @@ def dtw_cosine(a, b):
     so the value lies in [0, 2] and is 0 iff perfectly parallel frames can
     be aligned. Symmetric in its arguments.
     """
-    a = _frames(a)
-    b = _frames(b)
+    a = frame_matrix(a)
+    b = frame_matrix(b)
     _check_pair(a, b)
     return float(_dtw_sweep([_cosine_cost(a, b)])[0])
 
@@ -181,7 +176,7 @@ class AbxTriplet:
     x: object
 
     def __post_init__(self):
-        channels = {_frames(item).shape[1] for item in (self.a, self.b, self.x)}
+        channels = {frame_matrix(item).shape[1] for item in (self.a, self.b, self.x)}
         if len(channels) != 1:
             raise ValueError(f"triplet channel counts differ: {sorted(channels)}")
 
@@ -204,7 +199,7 @@ def abx_score(triplets):
     for triplet in triplets:
         for obj in (triplet.a, triplet.b, triplet.x):
             if id(obj) not in frames:
-                frames[id(obj)] = _frames(obj)
+                frames[id(obj)] = frame_matrix(obj)
         for key in ((id(triplet.a), id(triplet.x)), (id(triplet.b), id(triplet.x))):
             if key not in pair_index:
                 pair = (frames[key[0]], frames[key[1]])

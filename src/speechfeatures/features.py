@@ -170,6 +170,13 @@ class Features(ReadOnlyArrays):
         return f"Features({self.nframes} frames, {self.nchannels} channels)"
 
 
+def frame_matrix(frames):
+    """A Features' data or a frame array as a float64 matrix of at least two
+    dimensions; one that already is, a Features' data included, is not copied."""
+    data = frames.data if isinstance(frames, Features) else frames
+    return np.atleast_2d(np.asarray(data, dtype=np.float64))
+
+
 def concatenate(a, b):
     """Concatenate two Features sharing the same times over the channel axis.
 

@@ -15,6 +15,7 @@ import concurrent.futures
 import dataclasses
 import functools
 import hashlib
+import math
 import os
 import sys
 import typing
@@ -210,10 +211,10 @@ def _render_tree(tree, indent=0):
     return lines
 
 
-def _parse_tree(text):
+def _parse_tree(lines):
     root = {}
     stack = [(-1, root)]
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         if not raw.strip() or raw.lstrip().startswith("#"):
             continue
         indent = len(raw) - len(raw.lstrip(" "))
@@ -252,7 +253,7 @@ def write_config(config, path):
 
 def read_config(path):
     """Parse a configuration written by write_config (or hand-edited)."""
-    return read_text(path, lambda lines: config_from_dict(_parse_tree("".join(lines))))
+    return read_text(path, lambda lines: config_from_dict(_parse_tree(lines)))
 
 
 def derive_seed(seed, label):
@@ -352,8 +353,9 @@ def extract_features(config, utterances, njobs=1):
 
     The warp search runs in the calling process. Then, with njobs > 1, one
     pool of min(njobs, number of utterances) worker processes extracts the
-    utterances. Each process decodes a recording once for a run of
-    utterances cut from it, and none is held once the call returns.
+    utterances, each worker one contiguous run of them. A process decodes
+    a recording once for a run of utterances cut from it, and none is held
+    once the call returns.
     """
     if njobs < 1:
         raise ValueError(f"njobs must be >= 1, got {njobs}")
@@ -385,7 +387,8 @@ def extract_features(config, utterances, njobs=1):
         _recording.clear()
     if outcomes is None:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_extract_task, tasks))
+            outcomes = list(pool.map(_extract_task, tasks,
+                                     chunksize=math.ceil(len(tasks) / workers)))
 
     failures = {name: message for name, _, message in outcomes if message}
     if failures:

@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import Features, FeaturesCollection, ReadOnlyArrays, frozen, read_text
+from .features import (Features, FeaturesCollection, ReadOnlyArrays, frame_matrix,
+                       frozen, read_text)
+from .postproc import SIGMA_FLOOR
 
 __all__ = ["DiagGmm", "ExtractionError", "UbmOptions", "VtlnOptions",
            "train_ubm", "estimate_warps", "warp_grid", "select_warp", "save_warps",
@@ -143,7 +145,7 @@ class DiagGmm(ReadOnlyArrays):
 
     def component_loglikes(self, frames):
         """Per-frame, per-component log of weight times Gaussian density."""
-        frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
+        frames = frame_matrix(frames)
         if frames.shape[1] != self.dim:
             raise ValueError(
                 f"frames have dimension {frames.shape[1]}, model has {self.dim}")
@@ -230,14 +232,6 @@ def _split_largest(gmm):
     return DiagGmm(weights, means, variances)
 
 
-def _as_matrix(source):
-    if isinstance(source, (FeaturesCollection, dict)):
-        return np.vstack([f.data for f in source.values()])
-    if isinstance(source, Features):
-        return source.data
-    return np.atleast_2d(np.asarray(source, dtype=np.float64))
-
-
 def train_ubm(source, opts=None, seed=0):
     """Fit a diagonal GMM to a FeaturesCollection (or raw frame matrix).
 
@@ -251,7 +245,8 @@ def train_ubm(source, opts=None, seed=0):
     remove_low_count_gaussians.
     """
     opts = opts or UbmOptions()
-    data = _as_matrix(source)
+    data = (np.vstack([f.data for f in source.values()])
+            if isinstance(source, (FeaturesCollection, dict)) else frame_matrix(source))
     n, dim = data.shape
     if n < opts.num_gauss:
         raise ValueError(
@@ -373,7 +368,7 @@ def estimate_warps(utterances, extractor, opts=None, seed=0):
         train_data = np.vstack(list(selected.values()))
         gmm = train_ubm(train_data, opts.ubm, seed=seed)
         corpus_mean = train_data.mean(axis=0)
-        corpus_std = np.maximum(train_data.std(axis=0), 1e-10)
+        corpus_std = np.maximum(train_data.std(axis=0), SIGMA_FLOOR)
 
         # in this process: per-speaker rounds in a worker pool measured
         # slower (ROADMAP, measured dead ends)
@@ -400,7 +395,7 @@ def _warp_score(gmm, frames, corpus_mean, corpus_std, opts):
     mean = frames.mean(axis=0)
     if opts.norm_type == "offset":
         return float(gmm.loglikes(frames - mean + corpus_mean).sum())
-    std = np.maximum(frames.std(axis=0), 1e-10)
+    std = np.maximum(frames.std(axis=0), SIGMA_FLOOR)
     ratio = corpus_std / std
     normalized = (frames - mean) * ratio + corpus_mean
     score = float(gmm.loglikes(normalized).sum())

@@ -14,7 +14,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .features import Features, frozen
+from .features import Features, frame_matrix, frozen
 from .framing import FrameOptions, extract_frames, TINY
 
 __all__ = [
@@ -371,7 +371,7 @@ def levinson(autocorr, order):
     predictor coefficients (x[t] ~ sum_k a_k x[t-k]) and error the final
     prediction error power. Raises on non-positive prediction error.
     """
-    autocorr = np.atleast_2d(np.asarray(autocorr, dtype=np.float64))
+    autocorr = frame_matrix(autocorr)
     m = autocorr.shape[0]
     coeffs = np.zeros((m, order))
     error = autocorr[:, 0].copy()

@@ -2,6 +2,7 @@ import io
 import math
 import re
 import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -504,6 +505,43 @@ class TestParseUtterances:
         path.write_bytes(data)
         assert expected in error_naming_file(path, parse_utterances, path)
 
+    @pytest.mark.parametrize("text, expected", [
+        ("u1", "line 1: unparsable utterance line: 'u1'"),
+        ("u1 a.wav", [Utterance("u1", "a.wav")]),
+        ("u1 a.wav s", [Utterance("u1", "a.wav", "s")]),
+        ("u1 a.wav 1", "line 1: unparsable utterance line: 'u1 a.wav 1'"),
+        ("u1 a.wav 1 2", [Utterance("u1", "a.wav", None, 1.0, 2.0)]),
+        ("u1 a.wav s 2", "line 1: unparsable utterance line: 'u1 a.wav s 2'"),
+        ("u1 a.wav 1 s", "line 1: unparsable utterance line: 'u1 a.wav 1 s'"),
+        ("u1 a.wav s t", "line 1: unparsable utterance line: 'u1 a.wav s t'"),
+        ("u1 a.wav s 1 2", [Utterance("u1", "a.wav", "s", 1.0, 2.0)]),
+        # the speaker of five fields may be a number
+        ("u1 a.wav 3 1 2", [Utterance("u1", "a.wav", "3", 1.0, 2.0)]),
+        ("u1 a.wav s t 2", "line 1: unparsable utterance line: 'u1 a.wav s t 2'"),
+        ("u1 a.wav s 1 t", "line 1: unparsable utterance line: 'u1 a.wav s 1 t'"),
+        ("u1 a.wav 1 2 3 4",
+         "line 1: unparsable utterance line: 'u1 a.wav 1 2 3 4'"),
+        ("u1 a.wav 2 1", "u1: need 0 <= onset < offset, got [2.0, 1.0]"),
+        ("u1 a.wav s -1 1", "u1: need 0 <= onset < offset, got [-1.0, 1.0]"),
+        ("u1 a.wav s nan 1", "u1: need 0 <= onset < offset, got [nan, 1.0]"),
+        ("u1 a.wav 1 2\nu2 b.wav s 1 2", "line 2: shape "
+         "name-wav-speaker-onset-offset differs from name-wav-onset-offset"),
+        ("u1 a.wav s\nu2 b.wav", "line 2: shape name-wav differs from "
+         "name-wav-speaker"),
+        # a line is parsed, then built, then matched to the first shape
+        ("u1 a.wav\nu2 b.wav 1", "line 2: unparsable utterance line: "
+         "'u2 b.wav 1'"),
+        ("u1 a.wav\nu2 b.wav 2 1", "u2: need 0 <= onset < offset, got [2.0, 1.0]"),
+    ])
+    def test_field_counts_and_shapes(self, tmp_path, text, expected):
+        path = tmp_path / "utts.txt"
+        path.write_text(text + "\n", encoding="utf-8")
+        if isinstance(expected, str):
+            assert error_naming_file(path, parse_utterances, path) == (
+                f"{path}: {expected}")
+        else:
+            assert parse_utterances(path) == Utterances(expected)
+
     def test_line_ends_as_iterated(self, tmp_path):
         # a form feed separates fields but ends no line of an iterated file
         path = tmp_path / "utts.txt"
@@ -536,6 +574,16 @@ class TestUtterances:
         assert sorted(groups) == ["s1", "s2"]
         assert [u.name for u in groups["s1"]] == ["a", "c"]
         assert utts.speakers == {"a": "s1", "b": "s2", "c": "s1"}
+
+    def test_duplicates_are_found_in_one_pass(self):
+        items = [Utterance(f"u{i}", "a.wav") for i in range(50_000)]
+        items += [Utterance("u7", "b.wav"), Utterance("u123", "c.wav")]
+        start = time.perf_counter()
+        with pytest.raises(ValueError,
+                           match="^duplicate utterance names: u123, u7$"):
+            Utterances(items)
+        # a count per name is quadratic: tens of seconds at this size
+        assert time.perf_counter() - start < 5.0
 
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError, match="^utterance name must be non-empty$"):

@@ -5,11 +5,13 @@ import runpy
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import speechfeatures
 from speechfeatures import BLAS_THREAD_VARIABLES, FeaturesCollection, write_wav
 from speechfeatures.cli import _build_parser, main
 from speechfeatures.features import _CODECS
@@ -399,14 +401,19 @@ def test_module_entry_point(tmp_path):
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _project_table():
-    """The [project] table of pyproject.toml."""
+def _pyproject():
+    """pyproject.toml, parsed."""
     if sys.version_info >= (3, 11):
         import tomllib
     else:
         tomllib = pytest.importorskip("tomli")
     with open(ROOT / "pyproject.toml", "rb") as stream:
-        return tomllib.load(stream)["project"]
+        return tomllib.load(stream)
+
+
+def _project_table():
+    """The [project] table of pyproject.toml."""
+    return _pyproject()["project"]
 
 
 def _declared_script_target(name):
@@ -444,6 +451,23 @@ def test_numpy_is_the_only_declared_dependency():
     names = [re.split(r"[\s<>=!~;\[]", entry)[0]
              for entry in _project_table()["dependencies"]]
     assert names == ["numpy"]
+
+
+def test_the_version_is_read_from_the_package():
+    # the version is stated once, in speechfeatures.__version__
+    pyproject = _pyproject()
+    assert "version" not in pyproject["project"]
+    assert pyproject["project"]["dynamic"] == ["version"]
+    assert pyproject["tool"]["setuptools"]["dynamic"] == {
+        "version": {"attr": "speechfeatures.__version__"}}
+
+
+def test_setuptools_resolves_the_package_version():
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # [tool.setuptools] is "beta" in some releases
+        resolved = pyprojecttoml.read_configuration(ROOT / "pyproject.toml")
+    assert resolved["project"]["version"] == speechfeatures.__version__
 
 
 def test_import_loads_only_stdlib_and_numpy():

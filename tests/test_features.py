@@ -9,11 +9,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from speechfeatures import (Audio, CmvnOptions, DiagGmm, Features,
-                            FeaturesCollection, FeaturesFormatError,
-                            cmvn_apply, concatenate, delta, load_collection,
-                            postprocess_pitch, save_collection)
-from speechfeatures.features import MAGIC, frozen, frozen_in_place
+from speechfeatures import (AbxTriplet, Audio, CmvnOptions, DiagGmm, Features,
+                            FeaturesCollection, FeaturesFormatError, UbmOptions,
+                            abx_score, cmvn_apply, concatenate, delta,
+                            dtw_cosine, load_collection, postprocess_pitch,
+                            save_collection, train_ubm)
+from speechfeatures.features import MAGIC, frame_matrix, frozen, frozen_in_place
 
 from conftest import assert_valid_features
 
@@ -193,6 +194,30 @@ class TestReadOnlyArrays:
             assert np.array_equal(array, getattr(value, name))
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
+
+
+class TestFrameMatrix:
+    def test_a_features_and_its_data_give_the_same_results(self):
+        a, b, x = (random_features(30 + 5 * k, 4, seed=k) for k in range(3))
+        opts = UbmOptions(num_gauss=4, num_iters=2, num_iters_init=3)
+        gmm = train_ubm(a, opts, seed=1)
+        from_data = train_ubm(a.data, opts, seed=1)
+        for name in "weights", "means", "variances":
+            assert np.array_equal(getattr(gmm, name), getattr(from_data, name))
+        assert np.array_equal(gmm.loglikes(b), gmm.loglikes(b.data))
+        assert dtw_cosine(a, x) == dtw_cosine(a.data, x.data)
+        assert (abx_score([AbxTriplet(a, b, x), AbxTriplet(b, a, x)])
+                == abx_score([AbxTriplet(a.data, b.data, x.data),
+                              AbxTriplet(b.data, a.data, x.data)]))
+
+    def test_a_features_data_passes_without_a_copy(self):
+        feats = random_features()
+        assert frame_matrix(feats) is feats.data
+        matrix = np.ones((3, 2))
+        assert frame_matrix(matrix) is matrix
+        row = frame_matrix(np.arange(3.0))
+        assert row.shape == (1, 3) and row.dtype == np.float64
+        assert frame_matrix([[1, 2]]).dtype == np.float64
 
 
 class TestConcatenate:

@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import gc
 import importlib.util
+import multiprocessing
 import os
 import pickle
 import warnings
@@ -213,6 +214,25 @@ class TestConfigFile:
                      "delta_pitch_scale", "delta_pitch_noise_stddev",
                      "delta_window", "delay"):
             assert f"{name}:" in text, name
+
+    # str.splitlines also ends a line at each of these; a file's lines end
+    # only at \n, \r and \r\n
+    @pytest.mark.parametrize("separator", ["\x0c", "\x0b", "\x1c", "\x85",
+                                           "\u2028"])
+    def test_a_comment_line_reads_as_iterated(self, tmp_path, separator):
+        config = default_config("plp")
+        path = tmp_path / "config.txt"
+        path.write_text(f"# was plp{separator}features: plp\n"
+                        + config_to_text(config), encoding="utf-8")
+        assert read_config(path) == config
+
+    def test_a_later_error_names_its_line_in_the_file(self, tmp_path):
+        path = tmp_path / "config.txt"
+        text = "# a\x0cb\n" + config_to_text(default_config("mfcc"))
+        assert text.count("  num_ceps: 13\n") == 1
+        path.write_text(text.replace("  num_ceps: 13\n", "  num_ceps 13\n"))
+        assert error_naming_file(path, read_config, path) == (
+            f"{path}: line 21: expected 'key: value' or 'key:'")
 
     def test_missing_block_rejected(self, tmp_path):
         path = tmp_path / "config.txt"
@@ -468,7 +488,7 @@ class TestExtractFeatures:
             def __exit__(self, *exc_info):
                 return False
 
-            def map(self, func, tasks):
+            def map(self, func, tasks, chunksize=1):
                 func, tasks = pickle.loads(pickle.dumps((func, list(tasks))))
                 maps.append(getattr(func, "func", func).__name__)
                 return pickle.loads(pickle.dumps([func(task) for task in tasks]))
@@ -576,6 +596,31 @@ class TestOneDecodePerRecording:
         for utterances, njobs in (segments, 2), (interleaved, 1), (interleaved, 2):
             coll = extract_features(config, utterances, njobs=njobs)
             assert container_bytes(coll, tmp_path / "other.bin", names) == expected
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the logging load_wav reaches the workers by fork")
+    def test_each_worker_decodes_one_contiguous_run(self, segments, tmp_path,
+                                                    monkeypatch):
+        config = default_config("plp", with_delta=True, seed=4)
+        names = [u.name for u in segments]
+        expected = container_bytes(extract_features(config, segments),
+                                   tmp_path / "serial.bin", names)
+        log = tmp_path / "decodes.txt"
+
+        def logging(path):
+            with open(log, "a", encoding="utf-8") as fp:
+                fp.write(f"{os.getpid()} {path}\n")
+            return load_wav(path)
+
+        monkeypatch.setattr(pipeline, "load_wav", logging)  # before the fork
+        coll = extract_features(config, segments, njobs=2)
+        decodes = [line.split() for line in log.read_text().splitlines()]
+        recordings = {u.audio_path for u in segments}
+        assert {path for _, path in decodes} == recordings
+        assert str(os.getpid()) not in {pid for pid, _ in decodes}
+        # one run of six segments each: rec0 + rec1, then rec1 + rec2
+        assert len(decodes) <= len(recordings) + 2 - 1
+        assert container_bytes(coll, tmp_path / "pool.bin", names) == expected
 
     def test_no_recording_is_held_after_the_call(self, segments, corpus,
                                                  monkeypatch):
