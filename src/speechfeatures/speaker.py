@@ -11,6 +11,7 @@ features between rounds. Training is unsupervised throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +36,15 @@ ABSOLUTE_VAR_FLOOR = 1e-10
 # np.exp is exactly +0.0 below log(2**-1075) = -745.133...; `_exp_in_place`
 # writes those zeros itself, because numpy's underflow path is slow
 EXP_UNDERFLOW = -746.0
+
+# `DiagGmm.loglikes` of at most SCORE_FLOOR_GAUSS components raises shifted
+# scores below SCORE_FLOOR to it, inside np.exp's fast range (-708.0 already
+# takes the slow path); the docstring says why no sum changes
+SCORE_FLOOR = -700.0
+SCORE_FLOOR_GAUSS = 86
+
+# the warp step must divide max_warp - min_warp to this relative tolerance
+WARP_STEP_TOLERANCE = 1e-9
 
 
 class ExtractionError(RuntimeError):
@@ -106,6 +116,12 @@ class VtlnOptions:
         if count > MAX_WARPS:
             raise ValueError(f"the warp grid has {count} warps, more than "
                              f"the maximum {MAX_WARPS}")
+        # otherwise the grid would stop short of max_warp or pass it
+        steps = (self.max_warp - self.min_warp) / self.warp_step
+        if abs(steps - (count - 1)) > WARP_STEP_TOLERANCE * steps:
+            raise ValueError(
+                f"warp_step {self.warp_step} does not divide the warp range "
+                f"[{self.min_warp}, {self.max_warp}] into whole steps")
         if self.norm_type not in NORM_TYPES:
             raise ValueError(
                 f"unknown norm_type {self.norm_type!r}, expected one of "
@@ -143,6 +159,19 @@ class DiagGmm(ReadOnlyArrays):
     def dim(self):
         return self.means.shape[1]
 
+    @cached_property
+    def _scoring_terms(self):
+        """The terms of the component scores that depend on the model
+        alone, computed at the first scoring: the per-component constant,
+        (0.5 * inv_var).T and (means * inv_var).T. The matrices stay
+        transposed views, not contiguous copies: BLAS may take another
+        path, with other bits, for a contiguous copy of the same numbers."""
+        inv_var = 1.0 / self.variances
+        const = (np.log(self.weights)
+                 - 0.5 * (np.log(2.0 * np.pi * self.variances).sum(axis=1)
+                          + (self.means ** 2 * inv_var).sum(axis=1)))
+        return const, (0.5 * inv_var).T, (self.means * inv_var).T
+
     def component_loglikes(self, frames):
         """Per-frame, per-component log of weight times Gaussian density."""
         frames = frame_matrix(frames)
@@ -153,11 +182,32 @@ class DiagGmm(ReadOnlyArrays):
             self, frames, np.empty((2, len(frames), self.num_gauss)))
 
     def loglikes(self, frames):
-        """Per-frame mixture log-likelihood via log-sum-exp."""
+        """Per-frame mixture log-likelihood via log-sum-exp.
+
+        The bits are those of `top + log(exp(comp - top).sum(axis=1))`, with
+        `top` each row's maximum. For at most SCORE_FLOOR_GAUSS components
+        the shifted scores are first raised to SCORE_FLOOR, which keeps
+        np.exp off its slow path. That changes no sum: every row of
+        exponentials holds an exact 1.0 lane and only non-negative lanes,
+        and the floor changes only lanes below exp(-700) ~ 2**-1009.9. In
+        numpy's pairwise row sum, a partial sum that differs is absorbed by
+        any partner more than 2**54 times larger, and otherwise grows by
+        less than 2**54.01 per level; at a summation depth of at most 18
+        no node holding the 1.0 lane can differ (that needs a floor below
+        -673.9). The depth is floor(n/8) + 2 + n % 8 for 8 <= n <= 128 lanes
+        and at most 7 below 8 lanes: at most 18 for n <= 86, 19 at 87.
+        A row holding a NaN, or no finite score, is NaN either way, but
+        which NaN is not kept (see `_row_max`). Larger models go through
+        `_exp_in_place`.
+        """
         comp = self.component_loglikes(frames)
-        top = comp.max(axis=1, keepdims=True)
+        top = _row_max(comp)
         comp -= top
-        return top[:, 0] + np.log(_exp_in_place(comp).sum(axis=1))
+        if self.num_gauss <= SCORE_FLOOR_GAUSS:
+            np.exp(np.maximum(comp, SCORE_FLOOR, out=comp), out=comp)
+        else:
+            _exp_in_place(comp)
+        return top[:, 0] + np.log(comp.sum(axis=1))
 
 
 def _component_loglikes(gmm, frames, scratch):
@@ -166,14 +216,23 @@ def _component_loglikes(gmm, frames, scratch):
     entries; returns the [n, num_gauss] result, a view of `scratch`."""
     comp, cross = scratch.reshape(-1)[:2 * len(frames) * gmm.num_gauss].reshape(
         2, len(frames), gmm.num_gauss)
-    inv_var = 1.0 / gmm.variances
-    const = (np.log(gmm.weights)
-             - 0.5 * (np.log(2.0 * np.pi * gmm.variances).sum(axis=1)
-                      + (gmm.means ** 2 * inv_var).sum(axis=1)))
-    np.matmul(frames ** 2, (0.5 * inv_var).T, out=comp)
-    np.matmul(frames, (gmm.means * inv_var).T, out=cross)
+    const, half_inv_var_t, mean_inv_var_t = gmm._scoring_terms
+    np.matmul(frames ** 2, half_inv_var_t, out=comp)
+    np.matmul(frames, mean_inv_var_t, out=cross)
     comp -= cross
     return np.subtract(const[None, :], comp, out=comp)
+
+
+def _row_max(values):
+    """values.max(axis=1, keepdims=True) of an [n, g] matrix, from argmax
+    and a gather, which skip numpy's slow max of short rows.
+
+    The lane taken is a row's first maximal one, so a row of zeros of both
+    signs, or of NaNs of more than one sign, may give another zero or NaN
+    than max does. Log-sum-exp gives the same bits with either zero, since
+    the sum it adds to the top is at least +0.0, and a NaN with either NaN.
+    """
+    return values[np.arange(len(values)), values.argmax(axis=1)][:, None]
 
 
 def _exp_in_place(values):
@@ -193,7 +252,7 @@ def _em_step(gmm, data, min_weight, var_floor, scratch):
     """One EM update of `gmm` on `data`, with its component log-likelihoods
     in `scratch` (as `_component_loglikes` takes it); returns the new model."""
     resp = _component_loglikes(gmm, data, scratch)
-    resp -= resp.max(axis=1, keepdims=True)
+    resp -= _row_max(resp)
     _exp_in_place(resp)
     resp /= resp.sum(axis=1, keepdims=True)
 

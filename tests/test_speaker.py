@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import pickle
 import re
@@ -119,6 +120,198 @@ class TestExactZeros:
         assert got is values
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
         assert np.any((expected > 0) & (expected < np.finfo(np.float64).tiny))
+
+
+def numpy_pairwise_sum(lanes, add=lambda a, b: a + b, start=0.0):
+    """The lanes summed in the order of numpy's pairwise sum of one
+    contiguous row (`pairwise_sum` in numpy's loops_utils.h.src): 8 running
+    partial sums over blocks of 8, a balanced tree over them, then the last
+    n % 8 lanes one by one; a plain running sum below 8 lanes, and halves
+    cut at a multiple of 8 above 128. Any `add` may stand for +."""
+    n = len(lanes)
+    if n < 8:
+        total = start
+        for lane in lanes:
+            total = add(total, lane)
+        return total
+    if n <= 128:
+        partial = list(lanes[:8])
+        end = n - n % 8
+        for i in range(8, end, 8):
+            partial = [add(p, lane) for p, lane in zip(partial, lanes[i:i + 8])]
+        total = add(add(add(partial[0], partial[1]), add(partial[2], partial[3])),
+                    add(add(partial[4], partial[5]), add(partial[6], partial[7])))
+        for lane in lanes[end:]:
+            total = add(total, lane)
+        return total
+    half = n // 2 - (n // 2) % 8
+    return add(numpy_pairwise_sum(lanes[:half], add, start),
+               numpy_pairwise_sum(lanes[half:], add, start))
+
+
+def summation_depth(n):
+    """The most additions between a lane and the sum of n lanes."""
+    return numpy_pairwise_sum([0] * n, lambda a, b: max(a, b) + 1, 0)
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def plain_loglikes(comp):
+    """log-sum-exp of each row by the plain formula."""
+    top = comp.max(axis=1, keepdims=True)
+    return top[:, 0] + np.log(np.exp(comp - top).sum(axis=1))
+
+
+def adversarial_scores(num_gauss, rng):
+    """Component scores whose shifted values sit where the floor acts:
+    ladders across -746 ... -673 around SCORE_FLOOR and the subnormal band,
+    lanes that put the sum one rounding away from a tie, NaN, +-inf, ties
+    and -0.0."""
+    g = num_gauss
+    ladder = np.concatenate([
+        np.linspace(-746.0, -673.0, 40),
+        [speaker.SCORE_FLOOR, speaker.EXP_UNDERFLOW, -745.1332191019412, -708.4,
+         -708.0, -36.7368005696771]])   # the last: log(2**-53)
+    ladder = np.concatenate([ladder, np.nextafter(ladder, -np.inf),
+                             np.nextafter(ladder, np.inf)])
+    rows = []
+    for _ in range(6):
+        # one lane at the top, the others on the ladder
+        top = rng.uniform(-50.0, 50.0)
+        row = top + rng.choice(ladder, g)
+        row[rng.integers(g)] = top
+        rows.append(row)
+    # all below the floor except the top: every partial sum but one differs
+    rows.append(np.concatenate([[0.0], rng.uniform(-745.2, -700.5, g - 1)]))
+    # half-ulp lanes of 1.0 beside floored ones
+    row = np.where(rng.random(g) < 0.5, -36.7368005696771, -720.0)
+    row[0] = 0.0
+    rows.append(rng.permutation(row))
+    rows.append(np.full(g, 3.5))                       # every lane tied
+    row = np.full(g, -0.0)
+    row[::2] = 0.0
+    rows.append(row)                                   # zeros of both signs
+    row = rng.uniform(-800.0, 0.0, g)
+    row[rng.integers(g)] = np.nan
+    rows.append(row)                                   # one NaN
+    row = rng.uniform(-800.0, 0.0, g)
+    row[rng.integers(g)] = -np.inf
+    rows.append(row)                                   # an -inf lane
+    row = rng.uniform(-800.0, 0.0, g)
+    row[rng.integers(g)] = np.inf
+    rows.append(row)                                   # an +inf lane
+    rows.append(np.full(g, -np.inf))                   # no finite score
+    return np.array(rows)
+
+
+def scoring_these(gmm, comp, monkeypatch):
+    """`gmm` with `comp` as its component scores of any frames."""
+    monkeypatch.setattr(gmm, "component_loglikes", lambda frames: comp.copy())
+    return gmm
+
+
+def random_gmm(num_gauss, rng, dim=13):
+    return DiagGmm(rng.dirichlet(np.ones(num_gauss)),
+                   10.0 * rng.standard_normal((num_gauss, dim)),
+                   rng.uniform(0.05, 2.0, (num_gauss, dim)))
+
+
+def assert_same_bits_or_both_nan(got, expected):
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(bits(got[~nan]), bits(expected[~nan]))
+
+
+class TestScoreFloor:
+    """`DiagGmm.loglikes` raises shifted scores to SCORE_FLOOR for at most
+    SCORE_FLOOR_GAUSS components; these tests hold the premises of the
+    argument in its docstring."""
+
+    @pytest.mark.parametrize("num_gauss", [*range(1, 87), 87, 128])
+    def test_row_sums_follow_numpy_pairwise_order(self, num_gauss):
+        rng = np.random.default_rng(num_gauss)
+        rows = 2.0 ** rng.uniform(-60.0, 0.0, (300, num_gauss))
+        rows[np.arange(300), rng.integers(num_gauss, size=300)] = 1.0
+        pairwise = np.array([numpy_pairwise_sum(row.tolist()) for row in rows])
+        sequential = np.array([sum(row.tolist(), 0.0) for row in rows])
+        differ = pairwise != sequential
+        # below 8 lanes the pairwise order is the sequential one
+        assert differ.any() == (num_gauss >= 8)
+        assert np.array_equal(bits(rows.sum(axis=1)), bits(pairwise))
+        assert np.array_equal(bits(rows[differ].sum(axis=1)), bits(pairwise[differ]))
+
+    def test_summation_depth_and_the_floor(self):
+        assert all(summation_depth(n) <= 7 for n in range(1, 8))
+        assert all(summation_depth(n) == n // 8 + 2 + n % 8 for n in range(8, 129))
+        assert max(summation_depth(n)
+                   for n in range(1, speaker.SCORE_FLOOR_GAUSS + 1)) == 18
+        assert summation_depth(speaker.SCORE_FLOOR_GAUSS + 1) == 19
+        # a lane below the floor is under 2**-1009.9; after 17 levels of
+        # growth by less than 2**54.01 it is still absorbed by a sum >= 1
+        assert speaker.SCORE_FLOOR / np.log(2.0) + 54.01 * 17 < -54.0
+        assert -708.0 < speaker.SCORE_FLOOR
+
+    def test_loglikes_is_the_plain_formula_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        frames = 10.0 * rng.standard_normal((200, 13))
+        for num_gauss in range(1, speaker.SCORE_FLOOR_GAUSS + 1):
+            gmm = random_gmm(num_gauss, rng)
+            comp = gmm.component_loglikes(frames)
+            assert np.array_equal(bits(gmm.loglikes(frames)), bits(plain_loglikes(comp)))
+
+            comp = adversarial_scores(num_gauss, rng)
+            with np.errstate(invalid="ignore"):
+                expected = plain_loglikes(comp)
+                got = scoring_these(gmm, comp, monkeypatch).loglikes(frames)
+            assert_same_bits_or_both_nan(got, expected)
+            assert np.isnan(expected).any() and np.isfinite(expected).any()
+
+    @pytest.mark.parametrize("num_gauss", [87, 128])
+    def test_larger_models_go_through_exp_in_place(self, num_gauss, monkeypatch):
+        rng = np.random.default_rng(num_gauss)
+        gmm = random_gmm(num_gauss, rng)
+        frames = 10.0 * rng.standard_normal((200, 13))
+        comp = gmm.component_loglikes(frames)
+        calls = []
+        exp_in_place = speaker._exp_in_place
+        monkeypatch.setattr(speaker, "_exp_in_place",
+                            lambda values: calls.append(1) or exp_in_place(values))
+        assert np.array_equal(bits(gmm.loglikes(frames)), bits(plain_loglikes(comp)))
+        comp = adversarial_scores(num_gauss, rng)
+        with np.errstate(invalid="ignore"):
+            expected = plain_loglikes(comp)
+            got = scoring_these(gmm, comp, monkeypatch).loglikes(frames)
+        assert_same_bits_or_both_nan(got, expected)
+        assert len(calls) == 2
+
+    def test_row_max_is_max(self):
+        rng = np.random.default_rng(5)
+        values = rng.uniform(-800.0, 10.0, (50, 64))
+        values[:, 7] = values[:, 3]                         # ties
+        values[5] = 0.0
+        values[5, ::3] = -0.0                               # zeros of both signs
+        values[6] = -0.0
+        values[7, 20] = np.nan
+        values[8, [2, 9]] = [-np.nan, np.nan]
+        values[9] = np.nan
+        values[10, 4] = np.inf
+        values[11] = -np.inf
+        got = speaker._row_max(values)
+        assert got.shape == (50, 1)
+        assert np.array_equal(got, values.max(axis=1, keepdims=True), equal_nan=True)
+        # the first maximal lane, whichever zero max gives
+        assert np.signbit(got[5, 0])
+        assert not np.signbit(speaker._row_max(values[5:6, 1:])[0, 0])
+
+    def test_stored_models_score_the_same_bits(self):
+        rng = np.random.default_rng(8)
+        gmm = random_gmm(64, rng)
+        frames = 10.0 * rng.standard_normal((354, 13))
+        expected = bits(gmm.loglikes(frames))
+        for back in (pickle.loads(pickle.dumps(gmm)), copy.deepcopy(gmm)):
+            assert np.array_equal(bits(back.loglikes(frames)), expected)
 
 
 class TestDiagGmm:
@@ -340,6 +533,25 @@ class TestOptionChecks:
                 "the warp grid has 129 warps, more than the maximum 128")):
             VtlnOptions(warp_step=0.3 / 128)
 
+    @pytest.mark.parametrize("step, searched", [
+        (0.08, [0.85, 0.93, 1.01, 1.09, 1.17]), (0.5, [0.85, 1.35])],
+        ids=["past-max-warp", "far-past-max-warp"])
+    def test_warp_step_must_divide_the_range(self, step, searched):
+        # what warp_grid would search: it rounds the step count
+        grid = 0.85 + np.arange(round(0.3 / step) + 1) * step
+        assert np.allclose(grid, searched, rtol=0, atol=1e-12)
+        with pytest.raises(ValueError, match=re.escape(
+                f"warp_step {step} does not divide the warp range "
+                f"[0.85, 1.15] into whole steps")):
+            VtlnOptions(warp_step=step)
+
+    @pytest.mark.parametrize("factor", [1 + 1e-10, 1 - 1e-10])
+    def test_warp_step_within_the_tolerance_accepted(self, factor):
+        grid = warp_grid(VtlnOptions(warp_step=0.01 * factor))
+        assert len(grid) == 31 and abs(grid[-1] - 1.15) < 1e-8
+        with pytest.raises(ValueError, match="does not divide"):
+            VtlnOptions(warp_step=0.01 * (1 + 1e-8))
+
     def test_weight_floor_edges_accepted(self):
         UbmOptions(num_gauss=4, min_gaussian_weight=0.0)
         UbmOptions(num_gauss=4, min_gaussian_weight=0.25)
@@ -373,11 +585,15 @@ class TestOptionChecks:
         ("vtln", {"num_iters": 0}, "num_iters must be >= 1, got 0"),
         ("vtln", {"warp_step": 3e-4},
          "the warp grid has 1001 warps, more than the maximum 128"),
+        ("vtln", {"warp_step": 0.08},
+         "warp_step 0.08 does not divide the warp range [0.85, 1.15] into "
+         "whole steps"),
     ], ids=["num-gauss", "proportion-0", "proportion-over-1", "ubm-num-iters",
             "num-iters-init", "num-frames", "negative-weight-floor",
             "weight-floor-over-1", "weight-floor-over-1-over-num-gauss",
             "negative-min-warp", "zero-min-warp", "min-warp-1", "max-warp-under-1",
-            "warp-step", "norm-type", "vtln-num-iters", "warp-grid-too-long"])
+            "warp-step", "norm-type", "vtln-num-iters", "warp-grid-too-long",
+            "warp-step-not-dividing"])
     def test_config_errors_name_file_block_and_key(self, tmp_path, block,
                                                    edits, message):
         error = config_error(tmp_path, default_config("mfcc", with_vtln=True),
