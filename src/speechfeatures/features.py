@@ -25,17 +25,23 @@ The reader reads a regular file item by item, never the whole file at once.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
+import numbers
+import operator
 import os
 import stat
 import struct
+import sys
+import typing
 from collections import UserDict
 
 import numpy as np
 
 __all__ = [
-    "Features", "FeaturesCollection", "FeaturesFormatError",
+    "Features", "FeaturesCollection", "FeaturesFormatError", "Options", "rule",
     "concatenate", "save_collection", "load_collection", "read_text",
 ]
 
@@ -67,6 +73,71 @@ def read_text(path, parse):
             return parse(list(fp))
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from err
+
+
+_COMPARISONS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+_BRACKETS = {">=": "[", ">": "(", "<=": "]", "<": ")"}
+
+# a float field takes a finite real, an int field an integral value, neither a bool
+_NUMBERS = {float: (numbers.Real, "a finite float"), int: (numbers.Integral, "an int")}
+
+
+def rule(default=dataclasses.MISSING, *, low=None, above=None, high=None,
+         below=None, whole=False, choices=None):
+    """A dataclass field whose value `Options` checks: low <= value, above <
+    value, value <= high, value < below, whole if `whole`, in `choices`."""
+    bounds = tuple((op, bound) for op, bound in (
+        (">=", low), (">", above), ("<=", high), ("<", below)) if bound is not None)
+    return dataclasses.field(default=default, metadata={
+        "bounds": bounds, "whole": whole, "choices": choices})
+
+
+def _finite(value):
+    """Whether a real is finite, comparing an int exactly: float() may overflow."""
+    if isinstance(value, numbers.Integral):
+        return abs(value) <= sys.float_info.max
+    return math.isfinite(value)
+
+
+def _requirement(kind, value, bounds=(), whole=False, choices=None):
+    """What a field annotated `kind` with this rule asks that `value` lacks, or None."""
+    number, expected = _NUMBERS.get(kind, (kind, f"a {getattr(kind, '__name__', kind)}"))
+    if not isinstance(value, number) or kind in _NUMBERS and isinstance(value, bool):
+        return expected
+    if kind is float and not _finite(value):
+        return expected
+    if choices is not None and value not in choices:
+        return f"one of {', '.join(choices)}"
+    if whole and not float(value).is_integer():
+        return "a whole number"
+    if all(_COMPARISONS[op](value, bound) for op, bound in bounds):
+        return None
+    if len(bounds) == 1:
+        return " ".join(map(str, bounds[0]))
+    (low, lower), (high, upper) = bounds
+    return f"in {_BRACKETS[low]}{lower}, {upper}{_BRACKETS[high]}"
+
+
+@functools.cache
+def _fields(cls):
+    """(name, annotated type, rule metadata) of each field of a dataclass."""
+    kinds = typing.get_type_hints(cls)
+    return tuple((f.name, kinds[f.name], f.metadata) for f in dataclasses.fields(cls))
+
+
+class Options:
+    """Base of the options dataclasses: __post_init__ checks each field's type
+    (a float or int field keeps a float or an int) and rule, raising ValueError("<key>
+    must be <type or rule>, got <value>"); a subclass then checks its relational rules."""
+
+    def __post_init__(self):
+        for name, kind, field_rule in _fields(type(self)):
+            value = getattr(self, name)
+            requirement = _requirement(kind, value, **field_rule)
+            if requirement is not None:
+                raise ValueError(f"{name} must be {requirement}, got {value!r}")
+            if kind in _NUMBERS:
+                object.__setattr__(self, name, kind(value))
 
 
 PROPERTIES_RULE = ("properties must be a string-keyed tree of lists and "

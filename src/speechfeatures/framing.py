@@ -9,10 +9,13 @@ energy, pre-emphasis, windowing.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from .features import Options, rule
 
 __all__ = ["FrameOptions", "num_frames", "window_function", "extract_frames",
            "frame_times", "check_sample_rate"]
@@ -24,39 +27,38 @@ TINY = np.finfo(np.float64).tiny
 
 INT16_SCALE = 32768.0
 
+# the most samples a frame may span; it bounds the FFT size, and so the
+# mel banks, which hold one weight per mel bin and FFT bin
+MAX_WINDOW = 8192
+
 
 @dataclass(frozen=True)
-class FrameOptions:
+class FrameOptions(Options):
     """Framing parameters (times in seconds, dither in 16-bit sample scale)."""
-    sample_rate: int = 16000
-    frame_shift: float = 0.01
+    sample_rate: int = rule(16000, above=0)
+    frame_shift: float = rule(0.01, above=0)
     frame_length: float = 0.025
-    dither: float = 0.1
-    preemph_coeff: float = 0.97
+    dither: float = rule(0.1, low=0)
+    preemph_coeff: float = rule(0.97, low=0, high=1)
     remove_dc_offset: bool = True
-    window_type: str = "povey"
+    window_type: str = rule("povey", choices=WINDOW_TYPES)
     snip_edges: bool = True
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        if not 0 < self.frame_shift <= self.frame_length:
-            raise ValueError(
-                f"need 0 < frame_shift <= frame_length, got "
-                f"{self.frame_shift} and {self.frame_length}")
+        super().__post_init__()
+        if self.frame_shift > self.frame_length:
+            raise ValueError(f"need frame_shift <= frame_length, got "
+                             f"{self.frame_shift} and {self.frame_length}")
+        # window_size's product (round(8192.5) is 8192), at a rate float() holds
+        if not (self.sample_rate <= sys.float_info.max and self.frame_length
+                * self.sample_rate <= MAX_WINDOW + 0.5):
+            raise ValueError(f"frame_length must cover at most {MAX_WINDOW} samples, "
+                             f"got {self.frame_length} s at {self.sample_rate} Hz")
         if self.window_size < 2:
             raise ValueError("frame_length must cover at least 2 samples")
         if self.window_shift < 1:
             raise ValueError(f"frame_shift must cover at least 1 sample, got "
                              f"{self.frame_shift} s at {self.sample_rate} Hz")
-        if self.dither < 0:
-            raise ValueError(f"dither must be >= 0, got {self.dither}")
-        if not 0 <= self.preemph_coeff <= 1:
-            raise ValueError(f"preemph_coeff must be in [0, 1], got {self.preemph_coeff}")
-        if self.window_type not in WINDOW_TYPES:
-            raise ValueError(
-                f"unknown window_type {self.window_type!r}, expected one of "
-                f"{', '.join(WINDOW_TYPES)}")
 
     @property
     def window_size(self):

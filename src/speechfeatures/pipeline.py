@@ -17,12 +17,10 @@ import functools
 import hashlib
 import math
 import os
-import sys
-import typing
 from dataclasses import dataclass, asdict
 
 from .audio import Utterances, load_wav, resample, segment
-from .features import FeaturesCollection, concatenate, read_text
+from .features import FeaturesCollection, Options, _fields, concatenate, read_text
 from .pitch import PitchOptions, PostPitchOptions, estimate_pitch, postprocess_pitch
 from .postproc import CmvnOptions, DeltaOptions, cmvn_apply, delta
 from .speaker import ExtractionError, VtlnOptions, estimate_warps, warp_grid
@@ -61,7 +59,7 @@ def _options_class(features):
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(Options):
     """A full extraction recipe: feature options plus optional stages."""
     features: str
     options: object
@@ -73,6 +71,7 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         expected = _options_class(self.features)
         if type(self.options) is not expected:
             raise ValueError(
@@ -123,40 +122,25 @@ def config_to_dict(config):
     return out
 
 
-def _typed(key, kind, value):
-    """`value` as held by a field `key` annotated `kind`, or ValueError.
-
-    An int passes for a float, and a float must be finite; an options class
-    is built from a block.
-    """
-    if dataclasses.is_dataclass(kind):
-        try:
-            return _options_from_block(kind, value)
-        except (TypeError, ValueError) as err:
-            raise ValueError(f"{key}: {err}") from err
-    if kind is float and type(value) in (int, float):
-        if not abs(value) <= sys.float_info.max:  # NaN, infinite or huge int
-            raise ValueError(f"{key}: expected a finite float, got {value!r}")
-        return float(value)
-    if type(value) is not kind:
-        raise ValueError(f"{key}: expected {kind.__name__}, got {value!r}")
-    return value
-
-
 def _check_keys(tree, known):
     for key in tree:
         if key not in known:
             raise ValueError(f"unknown key {key!r}")
 
 
-def _options_from_block(cls, block):
-    """An options dataclass from a parsed block, each value type-checked."""
-    if not isinstance(block, dict):
-        raise ValueError(f"expected a parameter block, got {block!r}")
-    kinds = typing.get_type_hints(cls)
-    _check_keys(block, kinds)
-    return cls(**{key: _typed(key, kinds[key], value)
-                  for key, value in block.items()})
+def _options_from_block(name, cls, block):
+    """An options dataclass from the parsed block `name`; an options field
+    is built from its own block. A ValueError names the block."""
+    try:
+        if not isinstance(block, dict):
+            raise ValueError(f"expected a parameter block, got {block!r}")
+        kinds = {key: kind for key, kind, _ in _fields(cls)}
+        _check_keys(block, kinds)
+        return cls(**{key: _options_from_block(key, kinds[key], value)
+                      if dataclasses.is_dataclass(kinds[key]) else value
+                      for key, value in block.items()})
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{name}: {err}") from err
 
 
 def config_from_dict(tree):
@@ -169,11 +153,9 @@ def config_from_dict(tree):
     _check_keys(tree, {"features", "seed", *blocks})
     if "pitch" in tree:
         tree.setdefault("pitch_postprocessing", {})
-    stages = {name: _typed(block, cls, tree[block])
+    stages = {name: _options_from_block(block, cls, tree[block])
               for block, (name, cls) in blocks.items() if block in tree}
-    return PipelineConfig(features=features,
-                          seed=_typed("seed", int, tree.get("seed", 0)),
-                          **stages)
+    return PipelineConfig(features=features, seed=tree.get("seed", 0), **stages)
 
 
 def _format_scalar(value):

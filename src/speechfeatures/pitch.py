@@ -23,7 +23,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .audio import sinc_resample, windowed_sinc
-from .features import Features
+from .features import Features, Options, rule
 from .framing import FrameOptions, check_sample_rate, frame_times, num_frames
 from .postproc import delta_filter
 
@@ -50,41 +50,35 @@ MAX_LAG_STATES = 4096
 
 
 @dataclass(frozen=True)
-class PitchOptions:
+class PitchOptions(Options):
     """Pitch tracker parameters (Hz); the framing is the features' own."""
-    min_f0: float = 50.0
+    min_f0: float = rule(50.0, above=0)
     max_f0: float = 400.0
-    soft_min_f0: float = 10.0
-    penalty_factor: float = 0.1
+    soft_min_f0: float = rule(10.0, low=0)
+    penalty_factor: float = rule(0.1, low=0)
     lowpass_cutoff: float = 1000.0
-    resample_freq: float = 4000.0
-    delta_pitch: float = 0.005
-    nccf_ballast: float = 7000.0
+    resample_freq: float = rule(4000.0, whole=True)
+    delta_pitch: float = rule(0.005, above=0)
+    nccf_ballast: float = rule(7000.0, low=0)
 
     def __post_init__(self):
-        if not 0 < self.min_f0 < self.max_f0:
+        super().__post_init__()
+        if self.min_f0 >= self.max_f0:
             raise ValueError(
-                f"need 0 < min_f0 < max_f0, got {self.min_f0} and {self.max_f0}")
+                f"need min_f0 < max_f0, got {self.min_f0} and {self.max_f0}")
         if not self.max_f0 < self.lowpass_cutoff <= self.resample_freq / 2:
             raise ValueError(
                 f"need max_f0 < lowpass_cutoff <= resample_freq/2, got "
                 f"{self.max_f0}, {self.lowpass_cutoff}, {self.resample_freq}")
-        if not float(self.resample_freq).is_integer():
-            raise ValueError(f"resample_freq must be a whole number of Hz, "
-                             f"got {self.resample_freq}")
-        if self.delta_pitch <= 0:
-            raise ValueError(f"delta_pitch must be > 0, got {self.delta_pitch}")
         count = _lag_count(self)
         if count > MAX_LAG_STATES:
-            raise ValueError(f"the lag grid has {count} states, more than "
-                             f"the maximum {MAX_LAG_STATES}")
-        for key in ("penalty_factor", "nccf_ballast"):
-            value = getattr(self, key)
-            if not 0 <= value < np.inf:
-                raise ValueError(f"{key} must be finite and >= 0, got {value}")
-        if not 0 <= self.soft_min_f0 <= self.min_f0:
-            raise ValueError(f"soft_min_f0 must be in [0, min_f0 = "
-                             f"{self.min_f0}], got {self.soft_min_f0}")
+            raise ValueError(
+                f"the lag grid has {count} states, more than the maximum "
+                f"{MAX_LAG_STATES} (min_f0 {self.min_f0}, max_f0 "
+                f"{self.max_f0}, delta_pitch {self.delta_pitch})")
+        if self.soft_min_f0 > self.min_f0:
+            raise ValueError(f"soft_min_f0 must be <= min_f0 = {self.min_f0}, "
+                             f"got {self.soft_min_f0}")
 
     def check_framing(self, framing):
         """Raise ValueError unless `framing` suits pitch tracking.
@@ -105,26 +99,20 @@ class PitchOptions:
 
 
 @dataclass(frozen=True)
-class PostPitchOptions:
+class PostPitchOptions(Options):
     """Parameters of the pitch post-processor."""
     pitch_scale: float = 2.0
     pov_scale: float = 2.0
     delta_pitch_scale: float = 10.0
-    delta_pitch_noise_stddev: float = 0.005
-    delta_window: int = 2
+    delta_pitch_noise_stddev: float = rule(0.005, low=0)
+    delta_window: int = rule(2, low=1)
     delay: int = 0
-
-    def __post_init__(self):
-        if self.delta_window < 1:
-            raise ValueError(f"delta_window must be >= 1, got {self.delta_window}")
-        if self.delta_pitch_noise_stddev < 0:
-            raise ValueError("delta_pitch_noise_stddev must be >= 0")
 
 
 def _lag_count(opts):
-    """len(_lag_grid(opts)), from logarithms instead of the grid itself."""
+    """len(_lag_grid(opts)) from logarithms; inf where ceil() would overflow."""
     steps = math.log(opts.max_f0 / opts.min_f0) / math.log1p(opts.delta_pitch)
-    return math.ceil(steps) + 1
+    return math.ceil(steps) + 1 if steps < math.inf else math.inf
 
 
 def _lag_grid(opts):

@@ -6,7 +6,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .features import Features, FeaturesCollection, frozen_in_place
+from .features import Features, FeaturesCollection, Options, frozen_in_place, rule
 
 __all__ = ["DeltaOptions", "CmvnOptions", "VadOptions",
            "delta", "delta_filter", "cmvn_apply", "vad"]
@@ -19,41 +19,24 @@ SIGMA_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
-class DeltaOptions:
+class DeltaOptions(Options):
     """Derivative order and regression window half-width."""
-    order: int = 2
-    window: int = 2
-
-    def __post_init__(self):
-        if not 1 <= self.order <= 3:
-            raise ValueError(f"order must be in [1, 3], got {self.order}")
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
+    order: int = rule(2, low=1, high=3)
+    window: int = rule(2, low=1)
 
 
 @dataclass(frozen=True)
-class CmvnOptions:
+class CmvnOptions(Options):
     """Normalization scope and whether to normalize variances too."""
-    by: str
+    by: str = rule(choices=CMVN_SCOPES)
     norm_vars: bool = True
 
-    def __post_init__(self):
-        if self.by not in CMVN_SCOPES:
-            raise ValueError(
-                f"unknown cmvn scope {self.by!r}, expected one of "
-                f"{', '.join(CMVN_SCOPES)}")
-
 
 @dataclass(frozen=True)
-class VadOptions:
+class VadOptions(Options):
     """Energy threshold offset and scaling of the mean energy."""
     energy_threshold: float = 5.0
-    energy_mean_scale: float = 0.5
-
-    def __post_init__(self):
-        if self.energy_mean_scale < 0:
-            raise ValueError(
-                f"energy_mean_scale must be >= 0, got {self.energy_mean_scale}")
+    energy_mean_scale: float = rule(0.5, low=0)
 
 
 def delta_filter(matrix, window):

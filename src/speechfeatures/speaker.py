@@ -15,8 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .features import (Features, FeaturesCollection, ReadOnlyArrays, frame_matrix,
-                       frozen, read_text)
+from .features import (Features, FeaturesCollection, Options, ReadOnlyArrays,
+                       frame_matrix, frozen, read_text, rule)
 from .postproc import SIGMA_FLOOR
 
 __all__ = ["DiagGmm", "ExtractionError", "UbmOptions", "VtlnOptions",
@@ -62,72 +62,51 @@ class ExtractionError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class UbmOptions:
+class UbmOptions(Options):
     """Background model size and training schedule."""
-    num_gauss: int = 64
-    num_iters: int = 4
-    initial_gauss_proportion: float = 0.5
-    num_iters_init: int = 20
-    num_frames: int = 500000
-    min_gaussian_weight: float = 1e-4
+    num_gauss: int = rule(64, low=1)
+    num_iters: int = rule(4, low=0)
+    initial_gauss_proportion: float = rule(0.5, above=0, high=1)
+    num_iters_init: int = rule(20, low=1)
+    num_frames: int = rule(500000, low=1)
+    min_gaussian_weight: float = rule(1e-4, low=0)
     remove_low_count_gaussians: bool = False
 
     def __post_init__(self):
-        if self.num_gauss < 1:
-            raise ValueError(f"num_gauss must be >= 1, got {self.num_gauss}")
-        if not 0 < self.initial_gauss_proportion <= 1:
-            raise ValueError("initial_gauss_proportion must be in (0, 1]")
-        if self.num_iters < 0:
-            raise ValueError(f"num_iters must be >= 0, got {self.num_iters}")
-        if self.num_iters_init < 1:
-            raise ValueError(
-                f"num_iters_init must be >= 1, got {self.num_iters_init}")
-        if self.num_frames < 1:
-            raise ValueError(f"num_frames must be >= 1, got {self.num_frames}")
+        super().__post_init__()
         # the heaviest component weighs at least 1/num_gauss, so EM always
         # updates one; above that every component could stay frozen
-        if not 0 <= self.min_gaussian_weight <= 1 / self.num_gauss:
+        if self.min_gaussian_weight > 1 / self.num_gauss:
             raise ValueError(
-                f"min_gaussian_weight must be in [0, 1/num_gauss] = "
-                f"[0, {1 / self.num_gauss}], got {self.min_gaussian_weight}")
+                f"min_gaussian_weight must be <= 1/num_gauss = "
+                f"{1 / self.num_gauss}, got {self.min_gaussian_weight}")
 
 
 @dataclass(frozen=True)
-class VtlnOptions:
+class VtlnOptions(Options):
     """Warp search grid and normalization applied during scoring."""
-    num_iters: int = 15
-    min_warp: float = 0.85
-    max_warp: float = 1.15
-    warp_step: float = 0.01
+    num_iters: int = rule(15, low=1)
+    min_warp: float = rule(0.85, above=0, below=1)
+    max_warp: float = rule(1.15, above=1)
+    warp_step: float = rule(0.01, above=0)
     logdet_scale: float = 0.0
-    norm_type: str = "offset"
+    norm_type: str = rule("offset", choices=NORM_TYPES)
     ubm: UbmOptions = field(default_factory=UbmOptions)
 
     def __post_init__(self):
-        if self.min_warp <= 0:
-            raise ValueError(f"min_warp must be > 0, got {self.min_warp}")
-        if not self.min_warp < 1.0 < self.max_warp < np.inf:
-            raise ValueError(
-                f"need min_warp < 1 < max_warp < inf, got {self.min_warp} "
-                f"and {self.max_warp}")
-        if self.warp_step <= 0:
-            raise ValueError(f"warp_step must be > 0, got {self.warp_step}")
+        super().__post_init__()
         count = _warp_count(self)
         if count > MAX_WARPS:
-            raise ValueError(f"the warp grid has {count} warps, more than "
-                             f"the maximum {MAX_WARPS}")
+            raise ValueError(
+                f"the warp grid has {count} warps, more than the maximum "
+                f"{MAX_WARPS} (min_warp {self.min_warp}, max_warp "
+                f"{self.max_warp}, warp_step {self.warp_step})")
         # otherwise the grid would stop short of max_warp or pass it
         steps = (self.max_warp - self.min_warp) / self.warp_step
         if abs(steps - (count - 1)) > WARP_STEP_TOLERANCE * steps:
             raise ValueError(
                 f"warp_step {self.warp_step} does not divide the warp range "
                 f"[{self.min_warp}, {self.max_warp}] into whole steps")
-        if self.norm_type not in NORM_TYPES:
-            raise ValueError(
-                f"unknown norm_type {self.norm_type!r}, expected one of "
-                f"{', '.join(NORM_TYPES)}")
-        if self.num_iters < 1:
-            raise ValueError(f"num_iters must be >= 1, got {self.num_iters}")
 
 
 class DiagGmm(ReadOnlyArrays):
@@ -354,7 +333,9 @@ def train_ubm(source, opts=None, seed=0):
 
 
 def _warp_count(opts):
-    return int(round((opts.max_warp - opts.min_warp) / opts.warp_step)) + 1
+    """len(warp_grid(opts)); inf where round() would overflow."""
+    steps = (opts.max_warp - opts.min_warp) / opts.warp_step
+    return round(steps) + 1 if steps < np.inf else np.inf
 
 
 def warp_grid(opts):

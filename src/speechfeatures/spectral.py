@@ -14,7 +14,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .features import Features, frame_matrix, frozen
+from .features import Features, frame_matrix, frozen, rule
 from .framing import FrameOptions, extract_frames, TINY
 
 __all__ = [
@@ -55,20 +55,24 @@ class MelOptions(SpectrogramOptions):
     to the Nyquist frequency.
     """
     use_energy: bool = False
-    num_bins: int = 23
-    low_freq: float = 20.0
+    num_bins: int = rule(23, low=3)
+    low_freq: float = rule(20.0, low=0)
     high_freq: float = 0.0
     vtln_low: float = 100.0
     vtln_high: float = -500.0
 
     def __post_init__(self):
         super().__post_init__()
-        if self.num_bins < 3:
-            raise ValueError(f"num_bins must be >= 3, got {self.num_bins}")
+        # a mel bin needs an FFT bin inside its triangle, and an FFT bin lies
+        # inside at most two triangles
+        most = 2 * (next_power_of_two(self.window_size) // 2 + 1)
+        if self.num_bins > most:
+            raise ValueError(f"num_bins must be <= {most}, twice the FFT bins of "
+                             f"a {self.window_size}-sample frame, got {self.num_bins}")
         nyquist = 0.5 * self.sample_rate
-        if not 0 <= self.low_freq < self.effective_high_freq <= nyquist:
+        if not self.low_freq < self.effective_high_freq <= nyquist:
             raise ValueError(
-                f"need 0 <= low_freq < high_freq <= nyquist, got "
+                f"need low_freq < high_freq <= nyquist, got "
                 f"{self.low_freq} and {self.effective_high_freq}")
         if self.effective_vtln_low >= self.effective_vtln_high:
             raise ValueError(
@@ -96,33 +100,30 @@ class FilterbankOptions(MelOptions):
 
 @dataclass(frozen=True)
 class MfccOptions(MelOptions):
-    num_ceps: int = 13
+    num_ceps: int = rule(13, low=1)
     cepstral_lifter: float = 22.0
 
     def __post_init__(self):
         super().__post_init__()
-        if not 1 <= self.num_ceps <= self.num_bins:
-            raise ValueError(
-                f"need 1 <= num_ceps <= num_bins, got {self.num_ceps} "
-                f"and {self.num_bins}")
+        if self.num_ceps > self.num_bins:
+            raise ValueError(f"need num_ceps <= num_bins, got {self.num_ceps} "
+                             f"and {self.num_bins}")
 
 
 @dataclass(frozen=True)
 class PlpOptions(MelOptions):
     rasta: bool = False
-    lpc_order: int = 12
-    num_ceps: int = 13
+    lpc_order: int = rule(12, low=1)
+    num_ceps: int = rule(13, low=1)
     compress_factor: float = 1.0 / 3.0
     cepstral_lifter: float = 22.0
     cepstral_scale: float = 1.0
 
     def __post_init__(self):
         super().__post_init__()
-        if self.lpc_order < 1:
-            raise ValueError(f"lpc_order must be >= 1, got {self.lpc_order}")
-        if not 1 <= self.num_ceps <= self.lpc_order + 1:
+        if self.num_ceps > self.lpc_order + 1:
             raise ValueError(
-                f"need 1 <= num_ceps <= lpc_order + 1, got {self.num_ceps} "
+                f"need num_ceps <= lpc_order + 1, got {self.num_ceps} "
                 f"and lpc_order {self.lpc_order}")
 
 

@@ -258,8 +258,8 @@ class TestExtractCommand:
         assert main(["extract", str(config), str(small_corpus),
                      str(tmp_path / "out.bin")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"speech-features: error: {config}: {where}: "
-                              "expected a finite float")
+        assert err.startswith(f"speech-features: error: {config}: {where} "
+                              "must be a finite float, got ")
         assert not (tmp_path / "out.bin").exists()
 
     def test_negative_penalty_fails_naming_file_block_and_key(
@@ -274,7 +274,7 @@ class TestExtractCommand:
                      str(tmp_path / "out.bin")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"speech-features: error: {config}: pitch: "
-                              "penalty_factor must be finite and >= 0")
+                              "penalty_factor must be >= 0, got -1.0")
         assert not (tmp_path / "out.bin").exists()
 
     def test_pitch_follows_the_feature_framing(self, tmp_path, small_corpus):

@@ -277,18 +277,34 @@ class TestFrameOptions:
         # 9e-05 s at 16 kHz: a 1-sample frame shifted by 1 sample
         ({"frame_shift": 9e-05, "frame_length": 9e-05},
          "frame_length must cover at least 2 samples"),
-        ({"frame_shift": 0.05}, "need 0 < frame_shift <= frame_length"),
+        ({"frame_shift": 0.05}, "need frame_shift <= frame_length, got 0.05 and 0.025"),
         ({"frame_shift": 3e-05}, "frame_shift must cover at least 1 sample"),
-        ({"sample_rate": 0}, "sample_rate must be positive, got 0"),
+        ({"sample_rate": 0}, "sample_rate must be > 0, got 0"),
         ({"dither": -1.0}, "dither must be >= 0, got -1.0"),
         ({"preemph_coeff": 1.5}, "preemph_coeff must be in [0, 1], got 1.5"),
-        ({"window_type": "kaiser"}, "unknown window_type 'kaiser'"),
+        ({"window_type": "kaiser"}, "window_type must be one of hamming, hanning, "
+         "povey, rectangular, blackman, got 'kaiser'"),
+        ({"frame_length": 1e308},
+         "frame_length must cover at most 8192 samples, got 1e+308 s at 16000 Hz"),
     ], ids=["frame-under-2-samples", "shift-over-length", "shift-under-1-sample",
-            "sample-rate", "dither", "preemph", "window-type"])
+            "sample-rate", "dither", "preemph", "window-type", "frame-length-1e308"])
     def test_config_errors_name_file_block_and_key(self, tmp_path, edits,
                                                    message):
         error = config_error(tmp_path, default_config("mfcc"), "mfcc", **edits)
         assert message in error
+
+    @pytest.mark.parametrize("rate, length, size", [
+        (16000, 0.51203, 8192), (16000, 0.512, 8192), (44100, 8192 / 44100, 8192),
+        (44100, 8192.4 / 44100, 8192)])
+    def test_window_rounding_to_the_cap_accepted(self, rate, length, size):
+        assert FrameOptions(sample_rate=rate, frame_length=length).window_size == size
+
+    @pytest.mark.parametrize("rate, length", [
+        (16000, 0.5121), (44100, 8193 / 44100), (10 ** 400, 0.025), (10 ** 400, 1e-320)])
+    def test_window_over_the_cap_rejected(self, rate, length):
+        with pytest.raises(ValueError, match="^frame_length must cover at most 8192 "
+                           f"samples, got {length} s at {rate} Hz$"):
+            FrameOptions(sample_rate=rate, frame_length=length, frame_shift=length)
 
     def test_window_size(self):
         opts = FrameOptions()

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -114,7 +115,7 @@ class TestEstimatePitch:
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"frame_shift": 0.03}, "frame_shift <= frame_length"),
-        ({"frame_shift": 0.0}, "frame_shift <= frame_length"),
+        ({"frame_shift": 0.0}, "frame_shift must be > 0, got 0.0"),
         ({"sample_rate": 0}, "sample_rate"),
     ])
     def test_framing_rejected_at_construction(self, kwargs, message):
@@ -143,8 +144,8 @@ class TestEstimatePitch:
             PitchOptions(**kwargs)
 
     @pytest.mark.parametrize("block, edits, message", [
-        ("pitch", {"min_f0": 0.0}, "need 0 < min_f0 < max_f0, got 0.0 and 400.0"),
-        ("pitch", {"min_f0": 500.0}, "need 0 < min_f0 < max_f0, got 500.0 and 400.0"),
+        ("pitch", {"min_f0": 0.0}, "min_f0 must be > 0, got 0.0"),
+        ("pitch", {"min_f0": 500.0}, "need min_f0 < max_f0, got 500.0 and 400.0"),
         ("pitch", {"lowpass_cutoff": 300.0},
          "need max_f0 < lowpass_cutoff <= resample_freq/2, got 400.0, 300.0"),
         ("pitch", {"lowpass_cutoff": 2500.0},
@@ -156,9 +157,12 @@ class TestEstimatePitch:
          "delta_window must be >= 1, got 0"),
         ("pitch_postprocessing", {"delta_pitch_noise_stddev": -0.1},
          "delta_pitch_noise_stddev must be >= 0"),
+        ("pitch", {"delta_pitch": 1e-320},
+         "the lag grid has inf states, more than the maximum 4096 (min_f0 50.0, "
+         "max_f0 400.0, delta_pitch 1e-320)"),
     ], ids=["min-f0-zero", "min-f0-above-max", "cutoff-under-max-f0",
             "cutoff-above-half-rate", "delta-pitch", "lag-grid-size",
-            "delta-window", "noise-stddev"])
+            "delta-window", "noise-stddev", "delta-pitch-1e-320"])
     def test_config_errors_name_file_block_and_key(self, tmp_path, block,
                                                    edits, message):
         error = config_error(tmp_path, default_config("mfcc", with_pitch=True),
@@ -371,8 +375,9 @@ class TestLagGrid:
         assert pitch._lag_count(opts) == len(pitch._lag_grid(opts))
 
     def test_more_states_than_the_cap_rejected(self):
-        with pytest.raises(ValueError, match="^the lag grid has 20797 states, "
-                           "more than the maximum 4096$"):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "the lag grid has 20797 states, more than the maximum 4096 "
+                "(min_f0 50.0, max_f0 400.0, delta_pitch 0.0001)") + "$"):
             PitchOptions(delta_pitch=1e-4)
 
     def test_the_cap_itself_accepted(self):

@@ -546,16 +546,18 @@ class TestPlp:
 @pytest.mark.parametrize("features, edits, message", [
     ("mfcc", {"num_bins": 2}, "num_bins must be >= 3, got 2"),
     ("filterbank", {"low_freq": 9000.0},
-     "need 0 <= low_freq < high_freq <= nyquist, got 9000.0 and 8000.0"),
+     "need low_freq < high_freq <= nyquist, got 9000.0 and 8000.0"),
     ("filterbank", {"vtln_low": 4000.0, "vtln_high": 3000.0},
      "need vtln_low < vtln_high, got 4000.0 and 3000.0"),
     # vtln_high -500 is relative to the 8 kHz Nyquist frequency
     ("mfcc", {"vtln_low": 7600.0}, "need vtln_low < vtln_high, got 7600.0 and 7500.0"),
-    ("mfcc", {"num_ceps": 24}, "need 1 <= num_ceps <= num_bins, got 24 and 23"),
+    ("mfcc", {"num_ceps": 24}, "need num_ceps <= num_bins, got 24 and 23"),
     ("plp", {"lpc_order": 0}, "lpc_order must be >= 1, got 0"),
-    ("plp", {"num_ceps": 14}, "need 1 <= num_ceps <= lpc_order + 1, got 14"),
+    ("plp", {"num_ceps": 14}, "need num_ceps <= lpc_order + 1, got 14"),
+    ("plp", {"num_bins": 65536},
+     "num_bins must be <= 514, twice the FFT bins of a 400-sample frame, got 65536"),
 ], ids=["num-bins", "low-freq", "vtln-low-above-high", "vtln-low-above-relative-high",
-        "mfcc-num-ceps", "lpc-order", "plp-num-ceps"])
+        "mfcc-num-ceps", "lpc-order", "plp-num-ceps", "plp-num-bins-65536"])
 def test_config_errors_name_file_block_and_key(tmp_path, features, edits,
                                                message):
     error = config_error(tmp_path, default_config(features), features, **edits)
