@@ -27,8 +27,8 @@ TINY = np.finfo(np.float64).tiny
 
 INT16_SCALE = 32768.0
 
-# the most samples a frame may span; it bounds the FFT size, and so the
-# mel banks, which hold one weight per mel bin and FFT bin
+# the most samples a frame may span; it bounds fft_size, and so the mel banks
+# read_config builds, one weight per mel bin and FFT bin
 MAX_WINDOW = 8192
 
 

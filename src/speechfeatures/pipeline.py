@@ -82,15 +82,19 @@ class PipelineConfig(Options):
             raise ValueError("warp normalization is not available for spectrogram")
         if self.pitch is not None:
             self.pitch.check_framing(self.options)
+        # every bank extraction asks for, by the same positional call, so it
+        # finds each cached: with vtln, the grid's, then the search's at 1.0
+        banks = [] if self.features == "spectrogram" else [(self.options, 1.0)]
         if self.vtln is not None:
-            # every grid warp, not just the ends: a bank can lose a bin at
-            # one warp inside the grid; the search reuses the cached banks
-            for opts in self.options, _search_options(self):
-                for warp in warp_grid(self.vtln).tolist():
-                    try:
-                        compute_mel_banks(opts, warp)
-                    except ValueError as err:
-                        raise ValueError(f"vtln: warp {warp:g}: {err}") from err
+            grid, search = warp_grid(self.vtln).tolist(), _search_options(self)
+            banks = [(opts, warp) for opts in (self.options, search)
+                     for warp in grid] + [(search, 1.0)]
+        for opts, warp in banks:
+            try:
+                compute_mel_banks(opts, warp)
+            except ValueError as err:
+                block = self.features if self.vtln is None else f"vtln: warp {warp:g}"
+                raise ValueError(f"{block}: {err}") from err
 
 
 def _search_options(config):

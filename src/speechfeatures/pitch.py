@@ -17,7 +17,6 @@ log pitch and the log pitch derivative.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -44,8 +43,8 @@ _VITERBI_BLOCK = 64
 # of the transition must exceed, far above the 4u of rounding it covers
 _MONOTONE_MARGIN = 64
 
-# most lag states a PitchOptions may ask for: the tracker holds an [n, n]
-# transition, and the Viterbi's back pointers are int16
+# most lag states _lag_grid builds, so PitchOptions checks its own grid: the
+# tracker holds an [n, n] transition, and the Viterbi's back pointers are int16
 MAX_LAG_STATES = 4096
 
 
@@ -70,12 +69,7 @@ class PitchOptions(Options):
             raise ValueError(
                 f"need max_f0 < lowpass_cutoff <= resample_freq/2, got "
                 f"{self.max_f0}, {self.lowpass_cutoff}, {self.resample_freq}")
-        count = _lag_count(self)
-        if count > MAX_LAG_STATES:
-            raise ValueError(
-                f"the lag grid has {count} states, more than the maximum "
-                f"{MAX_LAG_STATES} (min_f0 {self.min_f0}, max_f0 "
-                f"{self.max_f0}, delta_pitch {self.delta_pitch})")
+        _lag_grid(self)
         if self.soft_min_f0 > self.min_f0:
             raise ValueError(f"soft_min_f0 must be <= min_f0 = {self.min_f0}, "
                              f"got {self.soft_min_f0}")
@@ -83,11 +77,14 @@ class PitchOptions(Options):
     def check_framing(self, framing):
         """Raise ValueError unless `framing` suits pitch tracking.
 
-        It must snip edges, shift by at least one sample at resample_freq
-        and span 1/min_f0.
+        It must snip edges, not be sampled below resample_freq, shift by at
+        least one sample at resample_freq and span 1/min_f0.
         """
         if not framing.snip_edges:
             raise ValueError("pitch needs snip_edges: true")
+        if self.resample_freq > framing.sample_rate:
+            raise ValueError(f"the pitch resample_freq {self.resample_freq} Hz is "
+                             f"above the sample_rate {framing.sample_rate} Hz")
         if int(round(framing.frame_shift * self.resample_freq)) < 1:
             raise ValueError(
                 f"frame_shift {framing.frame_shift} s is under one sample at "
@@ -109,17 +106,15 @@ class PostPitchOptions(Options):
     delay: int = 0
 
 
-def _lag_count(opts):
-    """len(_lag_grid(opts)) from logarithms; inf where ceil() would overflow."""
-    steps = math.log(opts.max_f0 / opts.min_f0) / math.log1p(opts.delta_pitch)
-    return math.ceil(steps) + 1 if steps < math.inf else math.inf
-
-
 def _lag_grid(opts):
-    """Log-spaced candidate lags in seconds, from 1/max_f0 up to 1/min_f0."""
+    """Log-spaced lags in seconds, 1/max_f0 up to 1/min_f0, at most MAX_LAG_STATES."""
     lags = [1.0 / opts.max_f0]
     top = 1.0 / opts.min_f0
     while lags[-1] < top:
+        if len(lags) == MAX_LAG_STATES:
+            raise ValueError(f"the lag grid has more than the maximum {MAX_LAG_STATES} "
+                             f"states (min_f0 {opts.min_f0}, max_f0 {opts.max_f0}, "
+                             f"delta_pitch {opts.delta_pitch})")
         lags.append(lags[-1] * (1.0 + opts.delta_pitch))
     lags[-1] = top
     return np.array(lags)

@@ -46,6 +46,11 @@ class SpectrogramOptions(FrameOptions):
     energy_floor: float = 0.0
     raw_energy: bool = True
 
+    @property
+    def fft_size(self):
+        """The FFT length: the power of two at or above window_size."""
+        return 1 << (self.window_size - 1).bit_length()
+
 
 @dataclass(frozen=True)
 class MelOptions(SpectrogramOptions):
@@ -65,7 +70,7 @@ class MelOptions(SpectrogramOptions):
         super().__post_init__()
         # a mel bin needs an FFT bin inside its triangle, and an FFT bin lies
         # inside at most two triangles
-        most = 2 * (next_power_of_two(self.window_size) // 2 + 1)
+        most = 2 * (self.fft_size // 2 + 1)
         if self.num_bins > most:
             raise ValueError(f"num_bins must be <= {most}, twice the FFT bins of "
                              f"a {self.window_size}-sample frame, got {self.num_bins}")
@@ -187,13 +192,13 @@ class MelBanks:
 def compute_mel_banks(opts, vtln_warp=1.0):
     """Mel filterbank for the given options and frequency warp.
 
-    The FFT size is the one the front end uses, the power of two at or above
-    opts.window_size. The num_bins + 2 band edges are equally spaced in mel
-    and warped together; bin b is the triangle over edges b, b+1 and b+2.
+    The FFT size is the one the front end uses, opts.fft_size. The
+    num_bins + 2 band edges are equally spaced in mel and warped together;
+    bin b is the triangle over edges b, b+1 and b+2.
     Banks are cached per (opts, vtln_warp) and returned read-only. Raises
     ValueError unless vtln_warp is finite and positive.
     """
-    nfft = next_power_of_two(opts.window_size)
+    nfft = opts.fft_size
     mel_low = mel(opts.low_freq)
     mel_delta = (mel(opts.effective_high_freq) - mel_low) / (opts.num_bins + 1)
     edges = mel_low + np.arange(opts.num_bins + 2) * mel_delta
@@ -221,13 +226,6 @@ def compute_mel_banks(opts, vtln_warp=1.0):
     return MelBanks(frozen(centers), frozen(matrix))
 
 
-def next_power_of_two(n):
-    nfft = 1
-    while nfft < n:
-        nfft *= 2
-    return nfft
-
-
 # most frames per FFT call: the complex spectra of one block are the only
 # temporary the size of the frames
 _FFT_BLOCK = 64
@@ -239,11 +237,10 @@ def _frame_spectra(audio, opts, seed):
     if frames.shape[0] == 0:
         raise ValueError(
             f"audio too short: {audio.nsamples} samples yield no frame")
-    nfft = next_power_of_two(opts.window_size)
-    power = np.empty((frames.shape[0], nfft // 2 + 1))
+    power = np.empty((frames.shape[0], opts.fft_size // 2 + 1))
     # rows are transformed independently, so blocks give the same bits
     for s in range(0, frames.shape[0], _FFT_BLOCK):
-        spectrum = np.fft.rfft(frames[s:s + _FFT_BLOCK], n=nfft)
+        spectrum = np.fft.rfft(frames[s:s + _FFT_BLOCK], n=opts.fft_size)
         block = np.square(spectrum.real, out=power[s:s + _FFT_BLOCK])
         imag = spectrum.imag
         block += np.square(imag, out=imag)

@@ -112,17 +112,28 @@ SWEPT_VALUES = (1e-320, 1e308, -0.0, 0, -1, 2, 99999999999999999999, 65536,
 # regresses then fails with MemoryError instead of exhausting the host
 SWEEP_MEMORY = 1 << 30
 
+# a config that loads must also build the lag grid and the warp-1.0 mel
+# bank its extraction builds; a failure there is reported as "loads, but"
 SWEEP = """
 import json, resource, sys
 resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))
-from speechfeatures import read_config
+from speechfeatures import compute_mel_banks, read_config
+from speechfeatures.pitch import _lag_grid
 outcomes = []
 for path in json.load(sys.stdin):
     try:
-        read_config(path)
-        outcomes.append(None)
+        config = read_config(path)
     except Exception as err:
         outcomes.append(f"{{type(err).__name__}}: {{err}}")
+        continue
+    try:
+        if config.pitch is not None:
+            _lag_grid(config.pitch)
+        if config.features != "spectrogram":
+            compute_mel_banks(config.options, 1.0)
+        outcomes.append(None)
+    except Exception as err:
+        outcomes.append(f"loads, but {{type(err).__name__}}: {{err}}")
 json.dump(outcomes, sys.stdout)
 """
 
@@ -182,7 +193,8 @@ def test_boundary_sweep_names_the_file(tmp_path):
     outcomes = json.loads(done.stdout)
     assert len(outcomes) == len(cases) > 700
     # a refusal names the file, then the key or one of its blocks; a numpy
-    # error (a dimension past its maximum, say) would name neither
+    # error (a dimension past its maximum, say) would name neither, and a
+    # config that loads but cannot build its sizes is no refusal at all
     wrong = [f"{name}: {'.'.join(key)}: {value!r}: {outcome}"
              for (name, key, value, file), outcome in zip(cases, outcomes)
              if outcome is not None and not (

@@ -88,6 +88,14 @@ class TestEstimatePitch:
             estimate_pitch(make_tone(220, duration=0.1), framing=framing)
         PitchOptions(resample_freq=10000.0).check_framing(framing)
 
+    def test_upsampling_rejected(self):
+        # the tracker only downsamples, as Kaldi's --resample-frequency does
+        framing = FrameOptions(sample_rate=8000)
+        PitchOptions(resample_freq=8000.0).check_framing(framing)
+        with pytest.raises(ValueError, match="^the pitch resample_freq 16000.0 Hz "
+                           "is above the sample_rate 8000 Hz$"):
+            PitchOptions(resample_freq=16000.0).check_framing(framing)
+
     def test_frames_follow_the_feature_framing(self):
         from speechfeatures import MfccOptions, mfcc
         audio = make_tone(220, rate=8000)
@@ -152,13 +160,13 @@ class TestEstimatePitch:
          "need max_f0 < lowpass_cutoff <= resample_freq/2, got 400.0, 2500.0"),
         ("pitch", {"delta_pitch": 0.0}, "delta_pitch must be > 0, got 0.0"),
         ("pitch", {"delta_pitch": 0.0001},
-         "the lag grid has 20797 states, more than the maximum 4096"),
+         "the lag grid has more than the maximum 4096 states"),
         ("pitch_postprocessing", {"delta_window": 0},
          "delta_window must be >= 1, got 0"),
         ("pitch_postprocessing", {"delta_pitch_noise_stddev": -0.1},
          "delta_pitch_noise_stddev must be >= 0"),
         ("pitch", {"delta_pitch": 1e-320},
-         "the lag grid has inf states, more than the maximum 4096 (min_f0 50.0, "
+         "the lag grid has more than the maximum 4096 states (min_f0 50.0, "
          "max_f0 400.0, delta_pitch 1e-320)"),
     ], ids=["min-f0-zero", "min-f0-above-max", "cutoff-under-max-f0",
             "cutoff-above-half-rate", "delta-pitch", "lag-grid-size",
@@ -364,6 +372,8 @@ class TestViterbiRandomized:
 
 
 class TestLagGrid:
+    # the grid the options checked is the grid extraction uses: log-spaced
+    # from 1/max_f0, ending exactly at 1/min_f0, within the cap
     @pytest.mark.parametrize("opts", [
         PitchOptions(), PitchOptions(delta_pitch=0.05),
         PitchOptions(min_f0=60.0, max_f0=500.0, delta_pitch=0.01),
@@ -371,20 +381,39 @@ class TestLagGrid:
         PitchOptions(delta_pitch=0.000508), PitchOptions(delta_pitch=1.0),
         PitchOptions(min_f0=200.0, max_f0=201.0, delta_pitch=0.5),
     ])
-    def test_count_is_the_grid_length(self, opts):
-        assert pitch._lag_count(opts) == len(pitch._lag_grid(opts))
+    def test_grid_spans_the_range_within_the_cap(self, opts):
+        lags = pitch._lag_grid(opts)
+        assert 2 <= len(lags) <= pitch.MAX_LAG_STATES
+        assert lags[0] == 1.0 / opts.max_f0 and lags[-1] == 1.0 / opts.min_f0
+        steps = lags[1:] / lags[:-1]
+        assert np.all(steps > 1.0)
+        np.testing.assert_allclose(steps[:-1], 1.0 + opts.delta_pitch, rtol=1e-12)
+        assert steps[-1] <= (1.0 + opts.delta_pitch) * (1.0 + 1e-12)
 
     def test_more_states_than_the_cap_rejected(self):
         with pytest.raises(ValueError, match="^" + re.escape(
-                "the lag grid has 20797 states, more than the maximum 4096 "
+                "the lag grid has more than the maximum 4096 states "
                 "(min_f0 50.0, max_f0 400.0, delta_pitch 0.0001)") + "$"):
             PitchOptions(delta_pitch=1e-4)
 
     def test_the_cap_itself_accepted(self):
         opts = PitchOptions(delta_pitch=0.000508)
         assert len(pitch._lag_grid(opts)) == pitch.MAX_LAG_STATES
-        with pytest.raises(ValueError, match="has 4098 states"):
+        with pytest.raises(ValueError, match="^the lag grid has more than the "
+                           "maximum 4096 states"):
             PitchOptions(delta_pitch=0.0005077)
+
+    # max_f0 / min_f0 is a computed power of 1 + delta_pitch, where a count
+    # from logarithms can be one off the length of the grid built
+    def test_one_state_past_the_cap_rejected(self):
+        with pytest.raises(ValueError, match="^the lag grid has more than the "
+                           "maximum 4096 states"):
+            PitchOptions(min_f0=50.0, max_f0=75.30168651201878, delta_pitch=0.0001)
+
+    def test_exactly_the_cap_accepted(self):
+        opts = PitchOptions(min_f0=50.0, max_f0=139.1628817159952,
+                            delta_pitch=0.00025)
+        assert len(pitch._lag_grid(opts)) == pitch.MAX_LAG_STATES
 
 
 class TestWorkingMemory:

@@ -13,8 +13,7 @@ from speechfeatures import spectral
 from speechfeatures.framing import TINY, extract_frames
 from speechfeatures.speaker import VtlnOptions, warp_grid
 from speechfeatures.spectral import (equal_loudness, levinson, lifter_coeffs,
-                                     lpc_to_cepstrum, next_power_of_two,
-                                     rasta_filter)
+                                     lpc_to_cepstrum, rasta_filter)
 
 from conftest import (assert_valid_features, config_error, make_tone,
                       make_voweled)
@@ -39,7 +38,7 @@ def bin_loop_mel_banks(opts, vtln_warp=1.0):
     Returns (center_freqs, matrix) as compute_mel_banks did before it warped
     all edges in one array call.
     """
-    nfft = next_power_of_two(opts.window_size)
+    nfft = opts.fft_size
     mel_low = mel(opts.low_freq)
     mel_high = mel(opts.effective_high_freq)
     mel_delta = (mel_high - mel_low) / (opts.num_bins + 1)
@@ -556,8 +555,16 @@ class TestPlp:
     ("plp", {"num_ceps": 14}, "need num_ceps <= lpc_order + 1, got 14"),
     ("plp", {"num_bins": 65536},
      "num_bins must be <= 514, twice the FFT bins of a 400-sample frame, got 65536"),
+    # within that bound, but the bank extraction needs cannot be built
+    ("filterbank", {"num_bins": 200},
+     "filterbank: mel bin 2 has no FFT bin support (nfft 512 too small)"),
+    ("mfcc", {"num_bins": 200},
+     "mfcc: mel bin 2 has no FFT bin support (nfft 512 too small)"),
+    ("plp", {"num_bins": 200},
+     "plp: mel bin 2 has no FFT bin support (nfft 512 too small)"),
 ], ids=["num-bins", "low-freq", "vtln-low-above-high", "vtln-low-above-relative-high",
-        "mfcc-num-ceps", "lpc-order", "plp-num-ceps", "plp-num-bins-65536"])
+        "mfcc-num-ceps", "lpc-order", "plp-num-ceps", "plp-num-bins-65536",
+        "filterbank-bank", "mfcc-bank", "plp-bank"])
 def test_config_errors_name_file_block_and_key(tmp_path, features, edits,
                                                message):
     error = config_error(tmp_path, default_config(features), features, **edits)
