@@ -16,7 +16,8 @@ import numpy as np
 
 from .audio import parse_utterances
 from .evaluate import PitchEval, abx_score, ger, load_triplets, mae
-from .features import FORMATS, TIME_TOLERANCE, load_collection, read_text
+from .features import (FORMATS, TIME_TOLERANCE, check_target, load_collection,
+                       read_text)
 from .pipeline import (FEATURE_OPTIONS, ExtractionError, config_to_text,
                        default_config, extract_features, read_config,
                        write_config)
@@ -90,6 +91,7 @@ def _cmd_extract(args):
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     utterances = parse_utterances(args.utterances)
+    check_target(args.output, [u.name for u in utterances], args.format)
     collection = extract_features(config, utterances, njobs=args.njobs)
     collection.save(args.output, format=args.format)
     return 0

@@ -26,6 +26,7 @@ The reader reads a regular file item by item, never the whole file at once.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import functools
 import json
 import math
@@ -301,7 +302,7 @@ class FeaturesCollection(UserDict):
 
 
 def _codec(format):
-    """The (save, load) pair of a format name."""
+    """The (check, save, load) functions of a format name."""
     if format not in _CODECS:
         raise ValueError(f"unknown format {format!r}, expected {' or '.join(map(repr, _CODECS))}")
     return _CODECS[format]
@@ -318,26 +319,46 @@ def save_collection(coll, path, format="binary"):
 
     Every item's properties are checked first, as Features checks them,
     since the tree may have been changed after construction: a ValueError
-    names the item and nothing is written.
+    names the item and nothing is written. Then `path` is checked, as
+    check_target checks it.
     """
-    save = _codec(format)[0]
+    check, save, _ = _codec(format)
     for name, feats in coll.items():
         try:
             _checked_properties(feats.properties)
         except ValueError as err:
             raise ValueError(f"{name}: {err}") from err
+    check(path, coll)
     save(coll, path)
 
 
 def load_collection(path, format="binary"):
     """Inverse of save_collection; invariants are re-validated on load."""
-    return _codec(format)[1](path)
+    return _codec(format)[2](path)
+
+
+def check_target(path, names, format="binary"):
+    """Raise, before any item is computed, the error that saving items
+    `names` to `path` would end with: a binary container needs an existing
+    directory and a path that is not a directory, and a CSV output a path
+    that is not an existing file and names without a path separator."""
+    _codec(format)[0](path, names)
+
+
+def _error(cls, code, path):
+    """An OSError as the failed system call gives it."""
+    return cls(code, os.strerror(code), path)
+
+
+def _check_csv(path, names):
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise _error(FileExistsError, errno.EEXIST, path)
+    for name in names:
+        if "/" in name or os.sep in name or (os.altsep and os.altsep in name):
+            raise ValueError(f"item name {name!r} contains a path separator")
 
 
 def _save_csv(coll, path):
-    for name in coll:
-        if "/" in name or os.sep in name or (os.altsep and os.altsep in name):
-            raise ValueError(f"item name {name!r} contains a path separator")
     os.makedirs(path, exist_ok=True)
     for name, feats in coll.items():
         rows = np.hstack([feats.times, feats.data])
@@ -380,6 +401,13 @@ def _load_csv(path):
     if not coll:
         raise FeaturesFormatError(f"{path}: no CSV features found")
     return coll
+
+
+def _check_binary(path, names):
+    if not os.path.isdir(os.path.dirname(path) or os.curdir):
+        raise _error(FileNotFoundError, errno.ENOENT, path)
+    if os.path.isdir(path):
+        raise _error(IsADirectoryError, errno.EISDIR, path)
 
 
 def _save_binary(coll, path):
@@ -439,6 +467,7 @@ def _load_binary(path):
     return coll
 
 
-_CODECS = {"csv": (_save_csv, _load_csv), "binary": (_save_binary, _load_binary)}
+_CODECS = {"csv": (_check_csv, _save_csv, _load_csv),
+           "binary": (_check_binary, _save_binary, _load_binary)}
 # the format names save_collection and load_collection accept
 FORMATS = tuple(_CODECS)

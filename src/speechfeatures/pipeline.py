@@ -20,7 +20,8 @@ import os
 from dataclasses import dataclass, asdict
 
 from .audio import Utterances, load_wav, resample, segment
-from .features import FeaturesCollection, Options, _fields, concatenate, read_text
+from .features import (FeaturesCollection, Options, _fields, _requirement,
+                       concatenate, read_text)
 from .pitch import PitchOptions, PostPitchOptions, estimate_pitch, postprocess_pitch
 from .postproc import CmvnOptions, DeltaOptions, cmvn_apply, delta
 from .speaker import ExtractionError, VtlnOptions, estimate_warps, warp_grid
@@ -82,8 +83,8 @@ class PipelineConfig(Options):
             raise ValueError("warp normalization is not available for spectrogram")
         if self.pitch is not None:
             self.pitch.check_framing(self.options)
-        # every bank extraction asks for, by the same positional call, so it
-        # finds each cached: with vtln, the grid's, then the search's at 1.0
+        # every bank extraction builds: with vtln the features' and the
+        # search's at each grid warp, then the search's first-pass one at 1.0
         banks = [] if self.features == "spectrogram" else [(self.options, 1.0)]
         if self.vtln is not None:
             grid, search = warp_grid(self.vtln).tolist(), _search_options(self)
@@ -343,8 +344,9 @@ def extract_features(config, utterances, njobs=1):
     a recording once for a run of utterances cut from it, and none is held
     once the call returns.
     """
-    if njobs < 1:
-        raise ValueError(f"njobs must be >= 1, got {njobs}")
+    # the rule of an int option field
+    if (wrong := _requirement(int, njobs, bounds=((">=", 1),))) is not None:
+        raise ValueError(f"njobs must be {wrong}, got {njobs!r}")
     if not isinstance(utterances, Utterances):
         utterances = Utterances(utterances)
     needs_speakers = (config.vtln is not None

@@ -25,8 +25,8 @@ __all__ = ["DiagGmm", "ExtractionError", "UbmOptions", "VtlnOptions",
 
 NORM_TYPES = ("offset", "none", "diag")
 
-# the most warps a grid may hold: each is a mel bank built at config load
-# and an extraction of every utterance per search round
+# the most warps a grid may hold: each is two mel banks built at config load
+# and cached, and an extraction of every utterance per search round
 MAX_WARPS = 128
 
 # per-dimension variance floor, as a fraction of the global variance
@@ -95,18 +95,7 @@ class VtlnOptions(Options):
 
     def __post_init__(self):
         super().__post_init__()
-        count = _warp_count(self)
-        if count > MAX_WARPS:
-            raise ValueError(
-                f"the warp grid has {count} warps, more than the maximum "
-                f"{MAX_WARPS} (min_warp {self.min_warp}, max_warp "
-                f"{self.max_warp}, warp_step {self.warp_step})")
-        # otherwise the grid would stop short of max_warp or pass it
-        steps = (self.max_warp - self.min_warp) / self.warp_step
-        if abs(steps - (count - 1)) > WARP_STEP_TOLERANCE * steps:
-            raise ValueError(
-                f"warp_step {self.warp_step} does not divide the warp range "
-                f"[{self.min_warp}, {self.max_warp}] into whole steps")
+        warp_grid(self)
 
 
 class DiagGmm(ReadOnlyArrays):
@@ -332,15 +321,22 @@ def train_ubm(source, opts=None, seed=0):
     return gmm
 
 
-def _warp_count(opts):
-    """len(warp_grid(opts)); inf where round() would overflow."""
-    steps = (opts.max_warp - opts.min_warp) / opts.warp_step
-    return round(steps) + 1 if steps < np.inf else np.inf
-
-
 def warp_grid(opts):
-    """The warp factors searched, min_warp to max_warp in warp_step steps."""
-    return opts.min_warp + np.arange(_warp_count(opts)) * opts.warp_step
+    """The warp factors searched, min_warp to max_warp in warp_step steps;
+    ValueError for more than MAX_WARPS warps or a step not dividing the range."""
+    steps = (opts.max_warp - opts.min_warp) / opts.warp_step
+    count = round(steps) + 1 if steps < np.inf else np.inf  # round(inf) overflows
+    if count > MAX_WARPS:
+        raise ValueError(
+            f"the warp grid has {count} warps, more than the maximum "
+            f"{MAX_WARPS} (min_warp {opts.min_warp}, max_warp "
+            f"{opts.max_warp}, warp_step {opts.warp_step})")
+    # otherwise the grid would stop short of max_warp or pass it
+    if abs(steps - (count - 1)) > WARP_STEP_TOLERANCE * steps:
+        raise ValueError(
+            f"warp_step {opts.warp_step} does not divide the warp range "
+            f"[{opts.min_warp}, {opts.max_warp}] into whole steps")
+    return opts.min_warp + np.arange(count) * opts.warp_step
 
 
 def select_warp(grid, scores):

@@ -16,6 +16,7 @@ import numpy as np
 
 from .features import Features, frame_matrix, frozen, rule
 from .framing import FrameOptions, extract_frames, TINY
+from .speaker import MAX_WARPS
 
 __all__ = [
     "MelOptions", "MelBanks", "SpectrogramOptions", "FilterbankOptions",
@@ -183,21 +184,22 @@ class MelBanks:
     center_freqs: np.ndarray
     matrix: np.ndarray  # [num_bins, nfft//2 + 1]
 
-    def apply(self, spectrum):
-        """Weighted sums of a [m, nfft//2+1] spectrum, one column per bin."""
-        return spectrum @ self.matrix.T
 
-
-@functools.lru_cache(maxsize=None)
 def compute_mel_banks(opts, vtln_warp=1.0):
     """Mel filterbank for the given options and frequency warp.
 
     The FFT size is the one the front end uses, opts.fft_size. The
     num_bins + 2 band edges are equally spaced in mel and warped together;
     bin b is the triangle over edges b, b+1 and b+2.
-    Banks are cached per (opts, vtln_warp) and returned read-only. Raises
-    ValueError unless vtln_warp is finite and positive.
+    Banks are read-only and cached by value, however the call is written;
+    the cache keeps the 2 * MAX_WARPS + 1 last used, one configuration's
+    most. Raises ValueError unless vtln_warp is finite and positive.
     """
+    return _mel_banks(opts, vtln_warp)
+
+
+@functools.lru_cache(maxsize=2 * MAX_WARPS + 1)
+def _mel_banks(opts, vtln_warp):
     nfft = opts.fft_size
     mel_low = mel(opts.low_freq)
     mel_delta = (mel(opts.effective_high_freq) - mel_low) / (opts.num_bins + 1)
@@ -278,7 +280,7 @@ def filterbank(audio, opts=None, vtln_warp=1.0, seed=0):
     power, energy, times = _frame_spectra(audio, opts, seed)
     banks = compute_mel_banks(opts, vtln_warp)
     spectrum = power if opts.use_power else np.sqrt(power)
-    mel_energies = banks.apply(spectrum)
+    mel_energies = spectrum @ banks.matrix.T
     if opts.use_log_fbank:
         mel_energies = np.log(np.maximum(mel_energies, TINY))
     if opts.use_energy:
@@ -319,7 +321,7 @@ def mfcc(audio, opts=None, vtln_warp=1.0, seed=0):
 def _mfcc_stage(power, energy, opts, vtln_warp):
     """mfcc()'s [m, num_ceps] matrix from _frame_spectra's power and energy."""
     banks = compute_mel_banks(opts, vtln_warp)
-    log_mel = np.log(np.maximum(banks.apply(power), TINY))
+    log_mel = np.log(np.maximum(power @ banks.matrix.T, TINY))
     ceps = log_mel @ dct_matrix(opts.num_ceps, opts.num_bins).T
     if opts.cepstral_lifter != 0:
         ceps = ceps * lifter_coeffs(opts.num_ceps, opts.cepstral_lifter)[None, :]
@@ -419,7 +421,7 @@ def plp(audio, opts=None, vtln_warp=1.0, seed=0):
     opts = opts or PlpOptions()
     power, energy, times = _frame_spectra(audio, opts, seed)
     banks = compute_mel_banks(opts, vtln_warp)
-    mel_energies = banks.apply(power)
+    mel_energies = power @ banks.matrix.T
 
     padded = np.hstack([mel_energies[:, :1], mel_energies, mel_energies[:, -1:]])
     eql = equal_loudness(

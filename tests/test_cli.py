@@ -166,6 +166,31 @@ class TestExtractCommand:
         assert code == 1
         assert "ghost" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt, output, name, named", [
+        ("binary", "nodir/out.bin", "utt1", "No such file or directory: '{out}'"),
+        ("binary", "wavs", "utt1", "Is a directory: '{out}'"),
+        ("csv", "utterances.txt", "utt1", "File exists: '{out}'"),
+        ("csv", "features", "spk1/utt1",
+         "item name 'spk1/utt1' contains a path separator"),
+    ], ids=["binary-no-directory", "binary-is-a-directory", "csv-is-a-file",
+            "csv-name-with-separator"])
+    def test_output_checked_before_any_audio(self, tmp_path, capsys, monkeypatch,
+                                             fmt, output, name, named):
+        # each used to fail only at save, after every utterance was extracted
+        (tmp_path / "wavs").mkdir()
+        write_wav(tmp_path / "wavs" / "utt1.wav", make_voweled(120, [700, 1300]))
+        manifest = tmp_path / "utterances.txt"
+        manifest.write_text(f"{name} {tmp_path}/wavs/utt1.wav\n")
+        config = tmp_path / "config.txt"
+        main(["config", "mfcc", "-o", str(config)])
+        decoded = []
+        monkeypatch.setattr(speechfeatures.pipeline, "load_wav", decoded.append)
+        out = tmp_path / output
+        assert main(["extract", "--format", fmt, str(config), str(manifest),
+                     str(out)]) == 1
+        assert named.format(out=out) in capsys.readouterr().err
+        assert decoded == []
+
     def test_bad_manifest_fails(self, tmp_path, capsys):
         manifest = tmp_path / "utterances.txt"
         manifest.write_text("only-one-field\n")

@@ -22,6 +22,7 @@ from speechfeatures import (CmvnOptions, FrameOptions, MfccOptions,
                             PipelineConfig, VtlnOptions, default_config)
 from speechfeatures.features import Options
 from speechfeatures.pipeline import _STAGES, _render_tree, config_to_dict
+from speechfeatures.speaker import MAX_WARPS
 
 
 def option_classes():
@@ -113,11 +114,12 @@ SWEPT_VALUES = (1e-320, 1e308, -0.0, 0, -1, 2, 99999999999999999999, 65536,
 SWEEP_MEMORY = 1 << 30
 
 # a config that loads must also build the lag grid and the warp-1.0 mel
-# bank its extraction builds; a failure there is reported as "loads, but"
+# bank its extraction builds; a failure there is reported as "loads, but".
+# Then the mel banks the process still holds are counted.
 SWEEP = """
-import json, resource, sys
+import gc, json, resource, sys
 resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))
-from speechfeatures import compute_mel_banks, read_config
+from speechfeatures import MelBanks, compute_mel_banks, read_config
 from speechfeatures.pitch import _lag_grid
 outcomes = []
 for path in json.load(sys.stdin):
@@ -134,7 +136,9 @@ for path in json.load(sys.stdin):
         outcomes.append(None)
     except Exception as err:
         outcomes.append(f"loads, but {{type(err).__name__}}: {{err}}")
-json.dump(outcomes, sys.stdout)
+gc.collect()
+held = sum(isinstance(obj, MelBanks) for obj in gc.get_objects())
+json.dump({{"outcomes": outcomes, "banks": held}}, sys.stdout)
 """
 
 
@@ -190,8 +194,11 @@ def test_boundary_sweep_names_the_file(tmp_path):
         input=json.dumps([file for *_, file in cases]), capture_output=True,
         text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    outcomes = json.loads(done.stdout)
+    report = json.loads(done.stdout)
+    outcomes = report["outcomes"]
     assert len(outcomes) == len(cases) > 700
+    # loading many configurations holds at most one configuration's banks
+    assert report["banks"] <= 2 * MAX_WARPS + 1
     # a refusal names the file, then the key or one of its blocks; a numpy
     # error (a dimension past its maximum, say) would name neither, and a
     # config that loads but cannot build its sizes is no refusal at all

@@ -5,6 +5,7 @@ import importlib.util
 import multiprocessing
 import os
 import pickle
+import re
 import warnings
 import weakref
 from pathlib import Path
@@ -14,11 +15,10 @@ import pytest
 
 from speechfeatures import (Audio, ExtractionError, FeaturesCollection,
                             PipelineConfig, PitchOptions, Utterance,
-                            Utterances, VtlnOptions,
-                            compute_mel_banks, default_config,
+                            Utterances, VtlnOptions, default_config,
                             extract_features, load_wav, mfcc, read_config,
                             write_config, write_wav)
-from speechfeatures import pipeline
+from speechfeatures import pipeline, spectral
 from speechfeatures.pipeline import (FEATURE_OPTIONS, _warped_mfccs,
                                      config_from_dict, config_to_dict,
                                      config_to_text, derive_seed)
@@ -321,12 +321,12 @@ class TestConfigFile:
 
     def test_grid_check_fills_the_search_cache(self, corpus):
         # the search and the extraction build no bank the check did not
-        compute_mel_banks.cache_clear()
+        spectral._mel_banks.cache_clear()
         config = small_vtln_config(seed=5)
-        misses = compute_mel_banks.cache_info().misses
+        misses = spectral._mel_banks.cache_info().misses
         assert misses == len(warp_grid(config.vtln))
         extract_features(config, corpus)
-        assert compute_mel_banks.cache_info().misses == misses
+        assert spectral._mel_banks.cache_info().misses == misses
 
     def test_undecodable_config_names_file(self, tmp_path):
         path = tmp_path / "config.txt"
@@ -514,9 +514,19 @@ class TestExtractFeatures:
             for name in coll:
                 assert coll[name] == serial[name]
 
-    def test_bad_njobs(self, corpus):
-        with pytest.raises(ValueError):
-            extract_features(default_config("mfcc"), corpus, njobs=0)
+    @pytest.mark.parametrize("njobs, message", [
+        (0, "njobs must be >= 1, got 0"), (2.5, "njobs must be an int, got 2.5"),
+        ("2", "njobs must be an int, got '2'"), (None, "njobs must be an int, got None"),
+        (True, "njobs must be an int, got True")],
+        ids=["zero", "float", "string", "none", "bool"])
+    def test_bad_njobs(self, corpus, monkeypatch, njobs, message):
+        # refused before the warp search or any extraction starts
+        calls = []
+        monkeypatch.setattr(pipeline, "_warped_mfccs", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(pipeline, "_extract_one", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            extract_features(small_vtln_config(), corpus, njobs=njobs)
+        assert calls == []
 
     def test_manifest_order_does_not_change_results(self, corpus):
         reversed_corpus = Utterances(list(corpus)[::-1])

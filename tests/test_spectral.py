@@ -11,7 +11,7 @@ from speechfeatures import (Audio, FilterbankOptions, MelOptions, MfccOptions,
                             plp, spectrogram, vtln_warp_freq)
 from speechfeatures import spectral
 from speechfeatures.framing import TINY, extract_frames
-from speechfeatures.speaker import VtlnOptions, warp_grid
+from speechfeatures.speaker import MAX_WARPS, VtlnOptions, warp_grid
 from speechfeatures.spectral import (equal_loudness, levinson, lifter_coeffs,
                                      lpc_to_cepstrum, rasta_filter)
 
@@ -153,10 +153,10 @@ class TestVtlnWarp:
 class TestMelBanks:
     @pytest.mark.parametrize("warp", [float("nan"), float("inf"), 0.0, -1.0])
     def test_bad_warp_rejected_naming_it(self, warp):
-        cached = compute_mel_banks.cache_info().currsize
+        cached = spectral._mel_banks.cache_info().currsize
         with pytest.raises(ValueError, match=f"finite and positive, got {warp}"):
             compute_mel_banks(MelOptions(), warp)
-        assert compute_mel_banks.cache_info().currsize == cached
+        assert spectral._mel_banks.cache_info().currsize == cached
 
     def test_centers_equally_spaced_in_mel(self):
         opts = MelOptions()
@@ -189,6 +189,29 @@ class TestMelBanks:
         a = compute_mel_banks(MelOptions(), 1.0)
         b = compute_mel_banks(MelOptions(), 1.0)
         assert a is b
+
+    def test_every_call_form_is_one_cache_entry(self):
+        opts = MelOptions(num_bins=24)
+        calls = [((), {}), ((1.0,), {}), ((), {"vtln_warp": 1.0}), ((1,), {}),
+                 ((np.float64(1.0),), {})]
+        banks = [compute_mel_banks(opts, *args, **kwargs) for args, kwargs in calls]
+        assert all(b is banks[0] for b in banks)
+        spectral._mel_banks.cache_clear()
+        for args, kwargs in calls:
+            compute_mel_banks(opts, *args, **kwargs)
+        assert spectral._mel_banks.cache_info().currsize == 1
+
+    def test_cache_holds_one_configuration_at_most(self):
+        # options no other test builds, so every warp adds an entry
+        opts = MelOptions(num_bins=21)
+        bound = 2 * MAX_WARPS + 1
+        warps = 0.9 + np.arange(bound + 1) * 1e-4
+        first = compute_mel_banks(opts, warps[0])
+        for warp in warps[1:]:
+            compute_mel_banks(opts, warp)
+        # the least recently used bank went first
+        assert compute_mel_banks(opts, warps[0]) is not first
+        assert spectral._mel_banks.cache_info().currsize == bound
 
     def test_result_is_read_only(self):
         banks = compute_mel_banks(MfccOptions(), 1.0)
